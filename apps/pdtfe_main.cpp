@@ -292,8 +292,21 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
   const bool socket = cfg.transport.kind == engine::TransportKind::kSocket;
   const PipelineOptions& opt = cfg.pipeline;
 
-  const ParticleSet set = read_snapshot(cfg.snapshot);
-  const auto groups = find_fof_groups(set);
+  // Request planning: the field centers are the largest FOF objects.
+  ParticleSet set;
+  {
+    obs::TraceSpan span(engine::phases::kReadSnapshot,
+                        engine::phases::kPlanningCategory);
+    set = read_snapshot(cfg.snapshot);
+    span.add_arg("particles", static_cast<double>(set.size()));
+  }
+  std::vector<FofGroup> groups;
+  {
+    obs::TraceSpan span(engine::phases::kFindFofGroups,
+                        engine::phases::kPlanningCategory);
+    groups = find_fof_groups(set);
+    span.add_arg("groups", static_cast<double>(groups.size()));
+  }
   std::vector<engine::FieldRequest> requests;
   for (std::size_t i = 0; i < groups.size() && requests.size() < cfg.n_fields;
        ++i)

@@ -74,23 +74,33 @@ MarchingKernel::MarchingKernel(const DensityField& density,
   // The coefficient tables back the vertical (Plücker-specialized) fast
   // path only; the Möller/general-Plücker ablation oracles march the AoS
   // geometry directly and need no tables.
-  if (!opt_.use_moller_trumbore && !opt_.use_general_plucker) {
-    geom_ = geom != nullptr ? std::move(geom)
-                            : std::make_shared<const TetraGeomTable>(
-                                  density.triangulation());
-    field_ = std::make_shared<const FieldCoefTable>(density);
+  if (!oracle()) {
+    geom_ = std::move(geom);
+    if (geom_ != nullptr)
+      field_ = std::make_shared<const FieldCoefTable>(density);
     simd_on_ = simd_enabled(opt_.use_simd);
   }
 }
 
 MarchingKernel::MarchingKernel(const MarchingKernel& base,
-                               const MarchingOptions& opt)
+                               const MarchingOptions& opt,
+                               std::shared_ptr<const TetraGeomTable> geom,
+                               std::shared_ptr<const FieldCoefTable> field)
     : density_(base.density_),
       hull_(base.hull_),
       opt_(opt),
-      geom_(base.geom_),
-      field_(base.field_),
+      geom_(std::move(geom)),
+      field_(std::move(field)),
       simd_on_(base.simd_on_) {}
+
+bool MarchingKernel::tables_pay_off(const FieldSpec& spec,
+                                    const MarchingOptions& opt,
+                                    std::size_t cells) {
+  // Adaptive refinement marches at least the four quadrant rays per cell.
+  const auto per_cell = static_cast<std::size_t>(
+      opt.adaptive_max_depth > 0 ? 4 : std::max(1, opt.monte_carlo_samples));
+  return march_tables_pay_off(spec.nx() * spec.ny() * per_cell, cells);
+}
 
 void MarchingKernel::edge_products(const VerticalTetraCoef& t, const Vec2& xi,
                                    double s[6]) const {
@@ -100,36 +110,46 @@ void MarchingKernel::edge_products(const VerticalTetraCoef& t, const Vec2& xi,
   else coef_edge_products(t, xi, s);
 }
 
-void MarchingKernel::add_interval(CellId c, const Vec2& xi, double a, double b,
-                                  double zmin, double zmax, double dz,
-                                  double& sigma) const {
+void MarchingKernel::add_interval(const CellInterpolant& k, const Vec2& xi,
+                                  double a, double b, double zmin, double zmax,
+                                  double dz, double& sigma) const {
   a = std::max(a, zmin);
   b = std::min(b, zmax);
   if (b <= a) return;
   const int nz = opt_.z_samples;
   if (nz <= 0) {
     // Exact per-tetra integral at the interval midpoint (Eq. 12).
-    sigma += field_->value(c, xi.x, xi.y, 0.5 * (a + b)) * (b - a);
+    sigma += k.value(xi.x, xi.y, 0.5 * (a + b)) * (b - a);
     return;
   }
   // Fixed z-planes within [a, b): the interpolant restricted to the column
   // is base + g_z·z, one multiply-add per sample.
-  const double base = field_->column_base(c, xi.x, xi.y);
-  const double gz = field_->gz(c);
-  auto k = static_cast<std::ptrdiff_t>(std::ceil((a - zmin) / dz - 0.5));
-  if (k < 0) k = 0;
-  for (; k < nz; ++k) {
-    const double z = zmin + (static_cast<double>(k) + 0.5) * dz;
+  const double base = k.column_base(xi.x, xi.y);
+  auto i = static_cast<std::ptrdiff_t>(std::ceil((a - zmin) / dz - 0.5));
+  if (i < 0) i = 0;
+  for (; i < nz; ++i) {
+    const double z = zmin + (static_cast<double>(i) + 0.5) * dz;
     if (z >= b) break;
-    sigma += (base + gz * z) * dz;
+    sigma += (base + k.gz * z) * dz;
   }
 }
 
-MarchingKernel::Attempt MarchingKernel::march_once_fast(const Vec2& xi,
+MarchingKernel::Attempt MarchingKernel::march_once(const Vec2& xi, double zmin,
+                                                   double zmax) const {
+  if (oracle()) return march_once_slow(xi, zmin, zmax);
+  if (geom_ != nullptr)
+    return march_once_fast(*geom_, *field_, xi, zmin, zmax);
+  return march_once_fast(TetraGeomDirect(density_->triangulation()),
+                         FieldCoefDirect(*density_), xi, zmin, zmax);
+}
+
+template <class Geom, class Field>
+MarchingKernel::Attempt MarchingKernel::march_once_fast(const Geom& geom,
+                                                        const Field& field,
+                                                        const Vec2& xi,
                                                         double zmin,
                                                         double zmax) const {
   const Triangulation& tri = density_->triangulation();
-  const TetraGeomTable& geom = *geom_;
   Attempt out;
 
   const auto entry = hull_->first_entry(xi);
@@ -149,8 +169,12 @@ MarchingKernel::Attempt MarchingKernel::march_once_fast(const Vec2& xi,
   // face classification. The first cell's span test already classifies both
   // faces, so its exit needs no second pass.
   double s[6];
-  edge_products(geom.coef(c), xi, s);
-  const VerticalSpan first = coef_vertical_span(geom.coef(c), s);
+  VerticalSpan first;
+  {
+    const auto& t = geom.coef(c);
+    edge_products(t, xi, s);
+    first = coef_vertical_span(t, s);
+  }
   if (!first.intersects || first.degenerate) {
     out.degenerate = true;
     out.degen_cell = c;
@@ -170,8 +194,9 @@ MarchingKernel::Attempt MarchingKernel::march_once_fast(const Vec2& xi,
       return out;
     }
     if (!have_exit) {
-      edge_products(geom.coef(c), xi, s);
-      ve = coef_vertical_exit(geom.coef(c), s, entry_face);
+      const auto& t = geom.coef(c);
+      edge_products(t, xi, s);
+      ve = coef_vertical_exit(t, s, entry_face);
       if (!ve.found || ve.degenerate) {
         out.degenerate = true;
         out.degen_cell = c;
@@ -179,7 +204,8 @@ MarchingKernel::Attempt MarchingKernel::march_once_fast(const Vec2& xi,
       }
     }
     have_exit = false;
-    add_interval(c, xi, z_prev, ve.z_exit, zmin, zmax, dz, out.sigma);
+    add_interval(field.at(c), xi, z_prev, ve.z_exit, zmin, zmax, dz,
+                 out.sigma);
     if (ve.z_exit >= zmax) break;
     const CellId next = geom.next(c, ve.exit_face);
     if (next == Triangulation::kNoCell) break;
@@ -258,7 +284,6 @@ MarchingKernel::LineResult MarchingKernel::finish_line(
     Vec2 xi, double zmin, double zmax, std::uint64_t& rng,
     const Attempt& first) const {
   const Triangulation& tri = density_->triangulation();
-  const bool fast = geom_ != nullptr;
 
   // The perturbation scale is relative to the silhouette extent when no grid
   // context is available; render() passes grid-cell-relative epsilons by
@@ -278,8 +303,7 @@ MarchingKernel::LineResult MarchingKernel::finish_line(
         out.failed = true;
         return out;
       }
-      a = fast ? march_once_fast(xi, zmin, zmax)
-               : march_once_slow(xi, zmin, zmax);
+      a = march_once(xi, zmin, zmax);
     }
     if (a.empty) {
       out.empty = true;
@@ -321,17 +345,30 @@ MarchingKernel::LineResult MarchingKernel::finish_line(
 
 MarchingKernel::LineResult MarchingKernel::march_line(
     Vec2 xi, double zmin, double zmax, std::uint64_t& rng) const {
-  const Attempt a = geom_ != nullptr ? march_once_fast(xi, zmin, zmax)
-                                     : march_once_slow(xi, zmin, zmax);
-  return finish_line(xi, zmin, zmax, rng, a);
+  return finish_line(xi, zmin, zmax, rng, march_once(xi, zmin, zmax));
 }
 
 void MarchingKernel::march_tile(const Vec2* xi, int n, double zmin,
                                 double zmax, std::uint64_t* rng,
                                 LineResult* out,
                                 std::uint64_t& batch_lanes) const {
+  if (geom_ != nullptr) {
+    march_tile_fast(*geom_, *field_, xi, n, zmin, zmax, rng, out,
+                    batch_lanes);
+    return;
+  }
+  march_tile_fast(TetraGeomDirect(density_->triangulation()),
+                  FieldCoefDirect(*density_), xi, n, zmin, zmax, rng, out,
+                  batch_lanes);
+}
+
+template <class Geom, class Field>
+void MarchingKernel::march_tile_fast(const Geom& geom, const Field& field,
+                                     const Vec2* xi, int n, double zmin,
+                                     double zmax, std::uint64_t* rng,
+                                     LineResult* out,
+                                     std::uint64_t& batch_lanes) const {
   const Triangulation& tri = density_->triangulation();
-  const TetraGeomTable& geom = *geom_;
   const int nz = opt_.z_samples;
   const double dz = nz > 0 ? (zmax - zmin) / nz : 0.0;
   const std::uint64_t max_steps = 16 * tri.num_cells() + 64;
@@ -356,8 +393,9 @@ void MarchingKernel::march_tile(const Vec2* xi, int n, double zmin,
       continue;
     }
     double s[6];
-    edge_products(geom.coef(c), xi[l], s);
-    const VerticalSpan first = coef_vertical_span(geom.coef(c), s);
+    const auto& t = geom.coef(c);
+    edge_products(t, xi[l], s);
+    const VerticalSpan first = coef_vertical_span(t, s);
     if (!first.intersects || first.degenerate) {
       att[l].degenerate = true;
       att[l].degen_cell = c;
@@ -435,7 +473,8 @@ void MarchingKernel::march_tile(const Vec2* xi, int n, double zmin,
           continue;
         }
       }
-      add_interval(c, xi[l], zprev[l], ve.z_exit, zmin, zmax, dz, a.sigma);
+      add_interval(field.at(c), xi[l], zprev[l], ve.z_exit, zmin, zmax, dz,
+                   a.sigma);
       if (ve.z_exit >= zmax) {
         walking[l] = false;
         --nwalk;
@@ -529,12 +568,21 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
 
   // ε is specified relative to the grid cell; march_line rescales by the
   // silhouette extent, so compose the two factors here. The worker clone
-  // shares this kernel's coefficient tables — only its ε differs.
+  // marches this kernel's coefficient tables (built here if this render
+  // repays them, else none) — only its ε differs.
   MarchingOptions local = opt_;
   const double extent =
       std::max(hull_->hi().x - hull_->lo().x, hull_->hi().y - hull_->lo().y);
   local.perturb_epsilon = opt_.perturb_epsilon * (extent > 0.0 ? h / extent : 1.0);
-  const MarchingKernel worker(*this, local);
+  std::shared_ptr<const TetraGeomTable> geom = geom_;
+  std::shared_ptr<const FieldCoefTable> field = field_;
+  const Triangulation& tri = density_->triangulation();
+  if (!oracle() && geom == nullptr &&
+      tables_pay_off(spec, opt_, tri.num_cells())) {
+    geom = std::make_shared<const TetraGeomTable>(tri);
+    field = std::make_shared<const FieldCoefTable>(*density_);
+  }
+  const MarchingKernel worker(*this, local, std::move(geom), std::move(field));
 
   // ξ for Monte Carlo sample `smp` of cell (ix, iy): low-discrepancy jitter
   // (Halton (2,3) under a per-cell Cranley–Patterson rotation). Unbiased
@@ -558,12 +606,11 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
   };
 
   // The tiled schedule batches 4 consecutive pixels through march_tile; it
-  // requires the table fast path and carries no adaptive refinement. Grid
+  // requires the vertical fast path and carries no adaptive refinement. Grid
   // values are bitwise identical to the per-pixel schedule (per-lane rng
   // streams are pure functions of the pixel index), so the choice is
   // invisible outside throughput and the simd_batch_lanes counter.
-  const bool tiled =
-      simd_on_ && geom_ != nullptr && opt_.adaptive_max_depth == 0;
+  const bool tiled = simd_on_ && opt_.adaptive_max_depth == 0;
 
 #pragma omp parallel reduction(+ : tot_rays, tot_steps, tot_restarts, tot_failed, tot_empty, tot_batch, tot_mass)
   {

@@ -10,17 +10,19 @@
 //
 // The vertical hot path runs on precomputed SoA coefficient tables
 // (dtfe/march_tables.h, DESIGN.md §11) built once per triangulation and
-// shared across channels; with use_simd active, rays are marched in 4-wide
-// pixel tiles whose edge products evaluate in SIMD — bitwise identical to
-// the scalar table path by construction. The direct AoS classifiers remain
-// behind use_general_plucker/use_moller_trumbore as the audit/ablation
-// oracle.
+// shared across channels — or, when a render has too few rays to repay a
+// build over every cell, on the same entries computed at each visit; with
+// use_simd active, rays are marched in 4-wide pixel tiles whose edge
+// products evaluate in SIMD — bitwise identical to the scalar path by
+// construction. The direct AoS classifiers remain behind
+// use_general_plucker/use_moller_trumbore as the audit/ablation oracle.
 //
 // Degeneracies (ℓ hits a vertex/edge or is coplanar with a face) are handled
 // by the paper's Perturb routine: nudge ℓ by ε toward a random vertex of the
 // offending tetrahedron and retry.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -103,7 +105,7 @@ class MarchingKernel {
   /// triangulation; both referenced objects must outlive the kernel.
   /// `geom` optionally shares a prebuilt TetraGeomTable (engine/FieldCube
   /// builds one per triangulation and hands it to every channel kernel);
-  /// when null the kernel builds its own.
+  /// when null, render() builds its own tables only if tables_pay_off.
   MarchingKernel(const DensityField& density, const HullProjection& hull,
                  MarchingOptions opt = {},
                  std::shared_ptr<const TetraGeomTable> geom = nullptr);
@@ -119,6 +121,12 @@ class MarchingKernel {
 
   /// Statistics from the most recent render() call.
   const MarchingStats& stats() const { return stats_; }
+
+  /// Whether render() of `spec` over a mesh of `cells` live cells marches
+  /// enough rays to repay building the march tables (march_tables_pay_off);
+  /// the grid is bitwise the same either way.
+  static bool tables_pay_off(const FieldSpec& spec, const MarchingOptions& opt,
+                             std::size_t cells);
 
   /// Whether the SIMD batch path is active for this kernel (opt.use_simd
   /// resolved against the compiled ISA and the fast-path preconditions).
@@ -141,8 +149,15 @@ class MarchingKernel {
     bool empty = false;
   };
 
-  /// Rescaled-ε worker sharing the parent's tables (render() internal).
-  MarchingKernel(const MarchingKernel& base, const MarchingOptions& opt);
+  /// Rescaled-ε worker over the given tables, or none (render() internal).
+  MarchingKernel(const MarchingKernel& base, const MarchingOptions& opt,
+                 std::shared_ptr<const TetraGeomTable> geom,
+                 std::shared_ptr<const FieldCoefTable> field);
+
+  /// The Möller/general-Plücker ablation oracles march the AoS geometry.
+  bool oracle() const {
+    return opt_.use_moller_trumbore || opt_.use_general_plucker;
+  }
 
   LineResult march_line(Vec2 xi, double zmin, double zmax,
                         std::uint64_t& rng) const;
@@ -150,7 +165,13 @@ class MarchingKernel {
   /// or from a tile lane) and drives the remaining scalar retries.
   LineResult finish_line(Vec2 xi, double zmin, double zmax,
                          std::uint64_t& rng, const Attempt& first) const;
-  Attempt march_once_fast(const Vec2& xi, double zmin, double zmax) const;
+  /// One attempt through the oracle, the tables, or the per-visit entries.
+  Attempt march_once(const Vec2& xi, double zmin, double zmax) const;
+  /// Vertical fast path over a geometry and field source: TetraGeomTable and
+  /// FieldCoefTable, or TetraGeomDirect and FieldCoefDirect.
+  template <class Geom, class Field>
+  Attempt march_once_fast(const Geom& geom, const Field& field, const Vec2& xi,
+                          double zmin, double zmax) const;
   Attempt march_once_slow(const Vec2& xi, double zmin, double zmax) const;
   /// March up to simd::kLanes rays in lockstep; lanes whose walk fronts
   /// meet in one tetra share a ray-parallel batched crossing test.
@@ -158,10 +179,15 @@ class MarchingKernel {
   void march_tile(const Vec2* xi, int n, double zmin, double zmax,
                   std::uint64_t* rng, LineResult* out,
                   std::uint64_t& batch_lanes) const;
+  template <class Geom, class Field>
+  void march_tile_fast(const Geom& geom, const Field& field, const Vec2* xi,
+                       int n, double zmin, double zmax, std::uint64_t* rng,
+                       LineResult* out, std::uint64_t& batch_lanes) const;
   /// Accumulate one tetra's contribution over [a, b) into sigma — shared by
   /// the scalar and tile walks so their arithmetic is identical.
-  void add_interval(CellId c, const Vec2& xi, double a, double b, double zmin,
-                    double zmax, double dz, double& sigma) const;
+  void add_interval(const CellInterpolant& k, const Vec2& xi, double a,
+                    double b, double zmin, double zmax, double dz,
+                    double& sigma) const;
   void edge_products(const VerticalTetraCoef& t, const Vec2& xi,
                      double s[6]) const;
   /// Adaptive (quadtree) estimate of the mean surface density over the

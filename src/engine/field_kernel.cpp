@@ -154,7 +154,13 @@ FieldCube::FieldCube(std::vector<Vec3> particles, double particle_mass,
   tri_seconds_ = t.seconds();
   density_ = std::make_unique<DensityField>(*tri_, particle_mass);
   hull_ = std::make_unique<HullProjection>(*tri_);
-  geom_ = std::make_shared<const TetraGeomTable>(*tri_);
+}
+
+std::shared_ptr<const TetraGeomTable> FieldCube::geom_table() const {
+  std::call_once(geom_->built, [this] {
+    geom_->table = std::make_shared<const TetraGeomTable>(*tri_);
+  });
+  return geom_->table;
 }
 
 FieldGrid FieldKernel::render(const FieldCube& cube,
@@ -205,12 +211,15 @@ FieldGrid MarchingFieldKernel::render_one(const FieldCube& cube,
   MarchingOptions opt = base_;
   if (request.seed != 0) opt.seed = request.seed;
   if (deadline != nullptr) opt.deadline = deadline;
-  // The vertical fast path shares the cube's SoA geometry tables; the
-  // ablation oracles (Möller / general Plücker) ignore the handle, so
-  // skip the (possibly lazy) build for them.
+  // The vertical fast path shares the cube's SoA geometry tables when this
+  // render repays building them; the ablation oracles (Möller / general
+  // Plücker) ignore the handle, so skip the lazy build for them.
   const bool fast = !opt.use_moller_trumbore && !opt.use_general_plucker;
   const std::shared_ptr<const TetraGeomTable> geom =
-      fast ? cube.geom_table() : nullptr;
+      fast && MarchingKernel::tables_pay_off(request.spec, opt,
+                                             cube.triangulation().num_cells())
+          ? cube.geom_table()
+          : nullptr;
   if (request.field == FieldKind::kDensity) {
     const MarchingKernel kernel(cube.density(), cube.hull(), opt, geom);
     Grid2D grid = kernel.render(request.spec);

@@ -17,6 +17,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,10 +59,11 @@ class FieldCube {
   double triangulate_seconds() const { return tri_seconds_; }
 
   /// The SoA crossing-test tables for this cube's triangulation
-  /// (dtfe/march_tables.h), built once with the cube and shared by every
-  /// marching kernel rendering from it — the unit path and each channel of
-  /// a vector render reuse one table instead of rebuilding per kernel.
-  std::shared_ptr<const TetraGeomTable> geom_table() const { return geom_; }
+  /// (dtfe/march_tables.h), built on the first call (thread-safe) and shared
+  /// by every marching kernel rendering from it — the unit path and each
+  /// channel of a vector render reuse one table instead of rebuilding per
+  /// kernel. Renders too small to repay a build never ask for it.
+  std::shared_ptr<const TetraGeomTable> geom_table() const;
 
  private:
   std::vector<Vec3> points_;
@@ -70,7 +72,11 @@ class FieldCube {
   std::unique_ptr<DensityField> density_;
   std::unique_ptr<HullProjection> hull_;
   double tri_seconds_ = 0.0;
-  std::shared_ptr<const TetraGeomTable> geom_;
+  struct GeomSlot {
+    std::once_flag built;
+    std::shared_ptr<const TetraGeomTable> table;
+  };
+  std::unique_ptr<GeomSlot> geom_ = std::make_unique<GeomSlot>();
 };
 
 /// One resolved render request: where/how to evaluate the field, which

@@ -38,6 +38,14 @@ inline constexpr const char* kExecutorCategory = "executor";
 inline constexpr const char* kExecutorPrepare = "executor.prepare";
 inline constexpr const char* kExecutorStall = "executor.stall";
 
+// Request-planning spans of `pdtfe pipeline`, before Engine::run_batch: the
+// snapshot read and the FOF halo finding that picks the field centers. Their
+// own category: they are process set-up, not PhaseTimes, so they must not add
+// to the "pipeline" category's cpu_s sum.
+inline constexpr const char* kPlanningCategory = "planning";
+inline constexpr const char* kReadSnapshot = "planning.read_snapshot";
+inline constexpr const char* kFindFofGroups = "planning.find_fof_groups";
+
 // Crash-registry in-flight labels: which execution path owned the item when
 // a hard fault hit. Must stay string literals (see framework/crash.h).
 inline constexpr const char* kInFlightModelSample = "model_sample";

@@ -1,5 +1,6 @@
 #include "framework/result_codec.h"
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 
@@ -75,7 +76,8 @@ class ByteReader {
     const auto n = len();
     need(n * sizeof(T));
     std::vector<T> v(n);
-    std::memcpy(v.data(), bytes_.data() + off_, n * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must never see.
+    if (n > 0) std::memcpy(v.data(), bytes_.data() + off_, n * sizeof(T));
     off_ += n * sizeof(T);
     return v;
   }
@@ -193,7 +195,7 @@ FieldGrid read_field_grid(ByteReader& r) {
     DTFE_CHECK_MSG(vals.size() == nx * ny,
                    "worker payload: grid size mismatch");
     Grid2D g(nx, ny);
-    std::memcpy(g.values().data(), vals.data(), vals.size() * sizeof(double));
+    std::copy(vals.begin(), vals.end(), g.values().begin());
     planes.push_back(std::move(g));
   }
   return FieldGrid(kind, std::move(planes));

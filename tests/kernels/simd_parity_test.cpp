@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "dtfe/march_tables.h"
@@ -227,6 +228,99 @@ TEST(SimdParity, ZSamplesModeBitwiseAcrossOnOff) {
   const Grid2D goff = off.render(spec);
   for (std::size_t i = 0; i < gon.size(); ++i)
     ASSERT_EQ(gon.flat(i), goff.flat(i)) << "cell " << i;
+}
+
+// The per-visit entries (TetraGeomDirect / FieldCoefDirect) are the table
+// entries, bit for bit, on every cell a march can reach.
+TEST(MarchTables, DirectEntriesEqualTableEntries) {
+  const engine::FieldCube cube = fixture_cube();
+  const Triangulation& tri = cube.triangulation();
+  const TetraGeomTable& table = *cube.geom_table();
+  const FieldCoefTable field_table(cube.density());
+  const TetraGeomDirect direct(tri);
+  const FieldCoefDirect field_direct(cube.density());
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < tri.cell_storage_size(); ++i) {
+    const auto c = static_cast<CellId>(i);
+    if (!tri.cell_alive(c) || tri.is_infinite(c)) continue;
+    const VerticalTetraCoef a = direct.coef(c);
+    ASSERT_EQ(std::memcmp(&a, &table.coef(c), sizeof a), 0) << "cell " << c;
+    const CellInterpolant k = field_direct.at(c);
+    ASSERT_EQ(std::memcmp(&k, &field_table.at(c), sizeof k), 0) << "cell " << c;
+    for (int f = 0; f < 4; ++f) {
+      ASSERT_EQ(direct.next(c, f), table.next(c, f)) << "cell " << c;
+      if (table.next(c, f) != Triangulation::kNoCell) {
+        ASSERT_EQ(direct.mirror(c, f), table.mirror(c, f)) << "cell " << c;
+      }
+    }
+    ++compared;
+  }
+  EXPECT_GT(compared, 10000u);
+  // The cube builds its table once and hands the same one out.
+  EXPECT_EQ(cube.geom_table().get(), &table);
+}
+
+// A render too small to repay the tables marches the per-visit entries;
+// the grid and ray statistics are bitwise those of the table march, on
+// both schedules and in every integration mode.
+TEST(MarchTables, RenderBitwiseWithAndWithoutTables) {
+  const engine::FieldCube cube = fixture_cube();
+  const std::size_t cells = cube.triangulation().num_cells();
+  struct Mode {
+    int mc, z_samples, adaptive;
+    std::size_t resolution;
+  };
+  for (const Mode m : {Mode{1, 0, 0, 24}, Mode{4, 0, 0, 12},
+                       Mode{1, 32, 0, 24}, Mode{1, 0, 2, 12}})
+    for (const SimdMode simd : {SimdMode::kOn, SimdMode::kOff}) {
+      FieldSpec spec = small_spec();
+      spec.resolution = m.resolution;
+      MarchingOptions opt;
+      opt.monte_carlo_samples = m.mc;
+      opt.z_samples = m.z_samples;
+      opt.adaptive_max_depth = m.adaptive;
+      opt.use_simd = simd;
+      ASSERT_FALSE(MarchingKernel::tables_pay_off(spec, opt, cells));
+      const MarchingKernel tables(cube.density(), cube.hull(), opt,
+                                  cube.geom_table());
+      const MarchingKernel direct(cube.density(), cube.hull(), opt);
+      const Grid2D gt = tables.render(spec);
+      const Grid2D gd = direct.render(spec);
+      ASSERT_EQ(gt.size(), gd.size());
+      for (std::size_t i = 0; i < gt.size(); ++i)
+        ASSERT_EQ(gt.flat(i), gd.flat(i)) << "cell " << i << " mc " << m.mc;
+      EXPECT_EQ(tables.stats().tetra_crossed, direct.stats().tetra_crossed);
+      EXPECT_EQ(tables.stats().perturb_restarts,
+                direct.stats().perturb_restarts);
+      EXPECT_EQ(tables.stats().simd_batch_lanes,
+                direct.stats().simd_batch_lanes);
+      // An OpenMP reduction: its summation order varies run to run.
+      EXPECT_NEAR(tables.stats().ray_mass, direct.stats().ray_mass,
+                  1e-12 * tables.stats().ray_mass);
+    }
+}
+
+TEST(MarchTables, IntegrateLineBitwiseWithAndWithoutTables) {
+  const engine::FieldCube cube = fixture_cube();
+  const MarchingKernel tables(cube.density(), cube.hull(), {},
+                              cube.geom_table());
+  const MarchingKernel direct(cube.density(), cube.hull());
+  std::uint64_t s = 99;
+  for (int i = 0; i < 200; ++i) {
+    const Vec2 xi{1.0 + 8.0 * unit(s), 1.0 + 8.0 * unit(s)};
+    ASSERT_EQ(tables.integrate_line(xi, 1.0, 9.0),
+              direct.integrate_line(xi, 1.0, 9.0))
+        << "xi " << xi.x << " " << xi.y;
+  }
+}
+
+TEST(MarchTables, PayOffOnceRaysCrossMoreCellsThanTheMeshHolds) {
+  // Pipeline item: 32^2 rays through a 240k-cell halo cube — no tables.
+  EXPECT_FALSE(march_tables_pay_off(1024, 240000));
+  // Small item of the same render: each cell is crossed more than once.
+  EXPECT_TRUE(march_tables_pay_off(1024, 20000));
+  // Whole-box 2048^2 map of a 260k-cell mesh.
+  EXPECT_TRUE(march_tables_pay_off(2048 * 2048, 260000));
 }
 
 void expect_pipeline_checksums_equal(FieldKind field) {

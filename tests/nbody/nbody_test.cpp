@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "nbody/fof.h"
 #include "nbody/generators.h"
 #include "nbody/snapshot_io.h"
+#include "util/error.h"
 #include "util/fft.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -197,6 +201,215 @@ TEST(Fof, PeriodicWrappingJoinsAcrossBoundary) {
   // center of mass should be near the corner (0,0,0) modulo wrapping
   const double d = std::sqrt(periodic_dist2(groups[0].center, {0, 0, 0}, 50.0));
   EXPECT_LT(d, 0.5);
+}
+
+// O(n²) oracle: union-find over every pair with the production predicate,
+// gathered the way find_fof_groups documents (members ascending, groups in
+// order of their lowest member, then sorted by descending size).
+std::vector<FofGroup> brute_force_fof(const ParticleSet& set,
+                                      const FofOptions& opt) {
+  const std::size_t n = set.size();
+  if (n == 0) return {};
+  const double box = set.box_length;
+  const double link =
+      opt.linking_parameter * (box / std::cbrt(static_cast<double>(n)));
+  const double link2 = link * link;
+  std::vector<std::uint32_t> parent(n);
+  for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
+  auto find = [&](std::uint32_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (std::uint32_t i = 0; i < n; ++i)
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      const Vec3& a = set.positions[i];
+      const Vec3& b = set.positions[j];
+      const double d2 =
+          opt.periodic ? periodic_dist2(a, b, box) : (a - b).norm2();
+      if (d2 > link2) continue;
+      const std::uint32_t ra = find(i), rb = find(j);
+      if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
+    }
+  std::vector<std::vector<std::uint32_t>> by_root(n);
+  for (std::uint32_t i = 0; i < n; ++i) by_root[find(i)].push_back(i);
+  std::vector<FofGroup> groups;
+  for (std::uint32_t r = 0; r < n; ++r) {  // root = lowest member
+    if (by_root[r].empty() || by_root[r].size() < opt.min_group_size)
+      continue;
+    FofGroup g;
+    g.members = std::move(by_root[r]);
+    const Vec3 ref = set.positions[g.members.front()];
+    Vec3 acc{0, 0, 0};
+    for (const std::uint32_t i : g.members)
+      acc += opt.periodic ? min_image(set.positions[i] - ref, box)
+                          : (set.positions[i] - ref);
+    g.center = ref + acc / static_cast<double>(g.members.size());
+    if (opt.periodic) g.center = wrap_periodic(g.center, box);
+    groups.push_back(std::move(g));
+  }
+  std::sort(groups.begin(), groups.end(),
+            [](const FofGroup& a, const FofGroup& b) {
+              return a.size() > b.size();
+            });
+  return groups;
+}
+
+void expect_matches_brute_force(const ParticleSet& set, FofOptions opt,
+                                const std::string& what) {
+  for (const std::size_t min_size : {std::size_t{1}, std::size_t{8}}) {
+    opt.min_group_size = min_size;
+    const auto got = find_fof_groups(set, opt);
+    const auto want = brute_force_fof(set, opt);
+    SCOPED_TRACE(what + " b=" + std::to_string(opt.linking_parameter) +
+                 " periodic=" + std::to_string(opt.periodic) +
+                 " min=" + std::to_string(min_size));
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t g = 0; g < got.size(); ++g) {
+      ASSERT_EQ(got[g].members, want[g].members) << "group " << g;
+      EXPECT_EQ(std::memcmp(&got[g].center, &want[g].center, sizeof(Vec3)),
+                0)
+          << "group " << g;
+    }
+  }
+}
+
+ParticleSet small_halo_set(std::size_t n, double box, std::uint64_t seed) {
+  HaloModelOptions opt;
+  opt.n_particles = n;
+  opt.box_length = box;
+  opt.n_halos = 12;
+  opt.seed = seed;
+  return generate_halo_model(opt);
+}
+
+ParticleSet small_zeldovich_set() {
+  ZeldovichOptions opt;
+  opt.grid = 16;  // 4096 particles
+  opt.box_length = 20.0;
+  opt.growth = 3.0;
+  opt.seed = 5;
+  return generate_zeldovich(opt);
+}
+
+TEST(FofOracle, MatchesBruteForceOnUniformHaloAndZeldovich) {
+  const std::pair<const char*, ParticleSet> sets[] = {
+      {"uniform", generate_uniform(3000, 10.0, 17)},
+      {"halo", small_halo_set(4000, 16.0, 3)},
+      {"zeldovich", small_zeldovich_set()}};
+  for (const auto& [name, set] : sets)
+    for (const bool periodic : {true, false}) {
+      FofOptions opt;
+      opt.periodic = periodic;
+      expect_matches_brute_force(set, opt, name);
+    }
+}
+
+TEST(FofOracle, LinkingParameterSweepIncludingTinyGrids) {
+  // n = 2000: the clique grid has ceil(√3·∛n / b) cells per side, so
+  // b ≥ 5 leaves fewer than 5 (b = 40 leaves one) and neighbour offsets
+  // alias across the periodic box.
+  const ParticleSet halo = small_halo_set(2000, 16.0, 7);
+  const ParticleSet uniform = generate_uniform(2000, 16.0, 9);
+  for (const double b : {0.05, 0.2, 0.5, 1.0, 3.0, 5.0, 8.0, 12.0, 20.0, 40.0})
+    for (const bool periodic : {true, false}) {
+      FofOptions opt;
+      opt.linking_parameter = b;
+      opt.periodic = periodic;
+      expect_matches_brute_force(halo, opt, "halo");
+      expect_matches_brute_force(uniform, opt, "uniform");
+    }
+}
+
+TEST(FofOracle, AdversarialPlacements) {
+  // box 8 with 512 particles: mean spacing 1, so link = b exactly.
+  const double box = 8.0;
+  const double link = 0.5;
+  const double edge = link / std::sqrt(3.0);
+  ParticleSet set;
+  set.box_length = box;
+  auto& p = set.positions;
+  // Chains at exactly link along each axis (0.5² is exact: d2 == link2).
+  for (int k = 0; k < 6; ++k) {
+    p.push_back({1.0 + 0.5 * k, 2.0, 2.0});
+    p.push_back({5.0, 1.0 + 0.5 * k, 6.0});
+    p.push_back({6.5, 6.5, 0.5 * k});
+  }
+  // Points on and next to clique-cell faces.
+  for (int k = 0; k < 12; ++k) {
+    const double f = edge * k;
+    p.push_back({f, 4.0, 4.0});
+    p.push_back({std::nextafter(f, 0.0), 4.0 + edge, 4.0});
+    p.push_back({4.0, f, std::nextafter(f, box)});
+  }
+  // The box faces: 0 and the largest coordinate below box are neighbours
+  // across the periodic boundary.
+  const double top = std::nextafter(box, 0.0);
+  for (const double x : {0.0, top})
+    for (const double y : {0.0, top})
+      for (const double z : {0.0, top}) p.push_back({x, y, z});
+  p.push_back({top, 3.0, 3.0});
+  p.push_back({0.0, 3.0, 3.0 + link});
+  // Coincident duplicates, in and out of other groups.
+  for (int k = 0; k < 4; ++k) {
+    p.push_back({7.25, 0.75, 3.5});
+    p.push_back({1.0, 2.0, 2.0});
+  }
+  // Pairs at link up to rounding, in random directions.
+  Rng rng(23);
+  while (p.size() < 400) {
+    const Vec3 a{rng.uniform(0.5, 7.5), rng.uniform(0.5, 7.5),
+                 rng.uniform(0.5, 7.5)};
+    Vec3 u{rng.normal(), rng.normal(), rng.normal()};
+    u = u / std::sqrt(u.norm2());
+    p.push_back(a);
+    p.push_back(a + u * link);
+  }
+  while (p.size() < 512)
+    p.push_back({rng.uniform(0, box), rng.uniform(0, box),
+                 rng.uniform(0, box)});
+  ASSERT_EQ(p.size(), 512u);
+  FofOptions opt;
+  opt.linking_parameter = link;
+  for (const bool periodic : {true, false}) {
+    opt.periodic = periodic;
+    expect_matches_brute_force(set, opt, "adversarial");
+  }
+
+  // Isolated pairs linked only across the periodic x edge of their own row:
+  // one member in the last cell, the other in the first or second cell.
+  // 512 points again, with link 0.2 so the 0.5-spaced pairs stay apart.
+  FofOptions wrap_opt;
+  wrap_opt.linking_parameter = 0.2;
+  const double wrap_edge = 0.2 / std::sqrt(3.0);
+  ParticleSet wrap_pairs;
+  wrap_pairs.box_length = box;
+  for (int k = 0; k < 256; ++k) {
+    const double y = 0.5 + (k % 16) * 0.5, z = 0.25 + (k / 16) * 0.5;
+    const bool far = k % 2 == 1;  // second cell: two cells across the edge
+    wrap_pairs.positions.push_back({box - (far ? 0.05 : 0.1), y, z});
+    wrap_pairs.positions.push_back({far ? 1.2 * wrap_edge : 0.05, y, z});
+  }
+  wrap_opt.min_group_size = 2;
+  EXPECT_EQ(find_fof_groups(wrap_pairs, wrap_opt).size(), 256u);
+  expect_matches_brute_force(wrap_pairs, wrap_opt, "wrap pairs");
+
+  // Non-periodic input outside [0, box): the grid follows the points'
+  // bounding box, so far-out points neither clamp together nor get lost.
+  ParticleSet outside = set;
+  for (std::size_t i = 0; i < outside.size(); i += 3)
+    outside.positions[i] += Vec3{-1.5 * box, 0.25 * box, 2.0 * box};
+  for (std::size_t i = 1; i < 40; i += 3)
+    outside.positions[i] = {-3.0 * box, 5.0 * box,
+                            -0.4 * static_cast<double>(i)};
+  opt.periodic = false;
+  expect_matches_brute_force(outside, opt, "outside");
+}
+
+TEST(FofOracle, RejectsNonPositiveLinkingLength) {
+  const ParticleSet set = generate_uniform(100, 4.0, 1);
+  FofOptions opt;
+  opt.linking_parameter = 0.0;
+  EXPECT_THROW(find_fof_groups(set, opt), Error);
 }
 
 TEST(SnapshotIo, RoundTripWithBlocks) {

@@ -307,6 +307,32 @@ TEST(ResultCodec, WorkerPayloadRoundTrips) {
   EXPECT_DOUBLE_EQ(back.result.phases.render, 0.25);
 }
 
+TEST(ResultCodec, EmptyVectorPayloadsRoundTrip) {
+  // Every size-prefixed vector empty: an empty std::vector's data() may be
+  // null, and the codec must not pass it to memcpy (UBSan aborts if it does).
+  LaunchConfig cfg;
+  cfg.snapshot = "snap.bin";
+  const LaunchConfig cback = decode_launch_config(encode_launch_config(cfg));
+  EXPECT_EQ(cback.snapshot, "snap.bin");
+  EXPECT_TRUE(cback.field_centers.empty());
+
+  WorkerPayload p;
+  p.rank = 1;
+  p.histograms = {{"dtfe.pipeline.item_ms", obs::HistogramSnapshot{}}};
+  p.result.grids.push_back(FieldGrid(Grid2D(0, 0)));
+  const WorkerPayload back = decode_worker_payload(encode_worker_payload(p));
+  EXPECT_EQ(back.rank, 1);
+  const obs::HistogramSnapshot& h = back.histograms.at("dtfe.pipeline.item_ms");
+  EXPECT_TRUE(h.bounds.empty());
+  EXPECT_TRUE(h.counts.empty());
+  ASSERT_EQ(back.result.grids.size(), 1u);
+  EXPECT_EQ(back.result.grids[0].plane(0).size(), 0u);
+  EXPECT_TRUE(back.result.items.empty());
+  EXPECT_TRUE(back.result.failed_ranks.empty());
+  EXPECT_TRUE(back.result.schedule.send_list.empty());
+  EXPECT_TRUE(back.result.schedule.recv_list.empty());
+}
+
 TEST(ResultCodec, RejectsGarbage) {
   std::vector<std::byte> junk(16, std::byte{0x5a});
   EXPECT_THROW(decode_launch_config(junk), Error);
