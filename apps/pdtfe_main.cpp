@@ -174,7 +174,7 @@ std::string channel_out_path(const std::string& out,
 int cmd_render(const CliArgs& args) {
   args.check_known(
       {"in", "out", "grid", "method", "mc", "adaptive", "field",
-       "smooth-ensemble", "use-simd", "metrics-out", "trace-out"});
+       "smooth-ensemble", "metrics-out", "trace-out"});
   ObsSession obs_session(args);
   const CommonFieldFlags common = parse_common_field_flags(args, 512L);
   const ParticleSet set = read_snapshot(common.in);
@@ -220,8 +220,6 @@ int cmd_render(const CliArgs& args) {
     kopt.marching.monte_carlo_samples = static_cast<int>(args.get("mc", 1L));
     kopt.marching.adaptive_max_depth =
         static_cast<int>(args.get("adaptive", 0L));
-    kopt.marching.use_simd =
-        parse_simd_mode(args.get("use-simd", std::string{"auto"}));
     engine::RenderRequest request{spec};
     request.field = field;
     request.smooth_ensemble = ensemble;
@@ -262,7 +260,7 @@ int cmd_render(const CliArgs& args) {
 
 int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
   args.check_known({"in", "ranks", "fields", "length", "grid", "kernel",
-                    "field", "smooth-ensemble", "use-simd",
+                    "field", "smooth-ensemble",
                     "balance", "metrics-out", "trace-out", "report",
                     "fault-plan", "max-retries", "comm-timeout-ms",
                     "bad-particles", "checkpoint-dir", "resume",

@@ -1,7 +1,7 @@
 // Kernel ablations: marching vs walking vs zero-order per rendered cell,
 // Monte Carlo sampling counts, walking z-resolution sweep (the cost knob the
 // marching kernel eliminates), the Plücker-vs-Möller march, and the
-// vertical-crossing-test A/B (AoS vs SoA coefficient tables vs SIMD).
+// vertical-crossing-test A/B (AoS vs SoA coefficient tables).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -13,7 +13,6 @@
 #include "geometry/ray_tetra.h"
 #include "geometry/tetra_coef.h"
 #include "nbody/generators.h"
-#include "util/simd.h"
 
 namespace dtfe {
 namespace {
@@ -57,19 +56,6 @@ BENCHMARK(BM_MarchingRender)
     ->Args({64, 4})
     ->Unit(benchmark::kMillisecond);
 
-// --use-simd=off twin of BM_MarchingRender/64/1: the render-level A/B the
-// bench report derives its simd speedup context from.
-void BM_MarchingRenderNoSimd(benchmark::State& state) {
-  const auto& recon = shared_recon();
-  const auto spec = bench_spec(64);
-  MarchingOptions opt;
-  opt.use_simd = SimdMode::kOff;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(recon.surface_density(spec, opt).sum());
-  state.SetItemsProcessed(state.iterations() * 64 * 64);
-}
-BENCHMARK(BM_MarchingRenderNoSimd)->Unit(benchmark::kMillisecond);
-
 void BM_MarchingRenderMoller(benchmark::State& state) {
   const auto& recon = shared_recon();
   const auto spec = bench_spec(64);
@@ -109,20 +95,15 @@ BENCHMARK(BM_ZeroOrderRender)->Unit(benchmark::kMillisecond);
 
 // ---- vertical crossing test A/B ------------------------------------------
 // The marching hot loop is one crossing test per tetra step. These benches
-// classify the SAME crossings four ways: the pre-table AoS geometry test
-// (the old production path, kept as oracle), the scalar SoA coefficient
-// form, the edge-parallel SIMD form, and the ray-parallel batch (4 rays ×
-// one tetra, as march_tile issues it). items == crossing tests, so
-// items_per_second ratios are the speedups run_bench records.
+// classify the SAME crossings two ways: the pre-table AoS geometry test
+// (the old production path, kept as oracle) and the SoA coefficient form
+// the march runs. items == crossing tests, so the items_per_second ratio is
+// the speedup run_bench records.
 struct CrossingFixture {
   std::vector<std::array<Vec3, 4>> tets;
   std::vector<VerticalTetraCoef> coef;
   std::vector<Vec2> xi;
   std::vector<int> entry;
-  // Per tetra: 4 rays inside its silhouette + their entry faces, the batch
-  // route's natural unit of work.
-  std::vector<std::array<double, 4>> xs, ys;
-  std::vector<std::array<int, 4>> entry4;
 };
 
 const CrossingFixture& crossing_fixture() {
@@ -146,28 +127,10 @@ const CrossingFixture& crossing_fixture() {
       coef_edge_products(c, cen, sp);
       const VerticalSpan span = coef_vertical_span(c, sp);
       if (!span.intersects || span.degenerate) continue;  // sliver: skip
-      std::array<double, 4> lx, ly;
-      std::array<int, 4> le;
-      bool ok = true;
-      for (int l = 0; l < 4 && ok; ++l) {
-        // Midpoint of centroid and vertex l's projection: strictly inside
-        // the silhouette (convex), distinct per lane.
-        lx[static_cast<std::size_t>(l)] = 0.5 * (cen.x + v[static_cast<std::size_t>(l)].x);
-        ly[static_cast<std::size_t>(l)] = 0.5 * (cen.y + v[static_cast<std::size_t>(l)].y);
-        double ls[6];
-        coef_edge_products(c, {lx[static_cast<std::size_t>(l)], ly[static_cast<std::size_t>(l)]}, ls);
-        const VerticalSpan lsp = coef_vertical_span(c, ls);
-        if (!lsp.intersects || lsp.degenerate) ok = false;
-        else le[static_cast<std::size_t>(l)] = lsp.enter_face;
-      }
-      if (!ok) continue;
       f->tets.push_back(v);
       f->coef.push_back(c);
       f->xi.push_back(cen);
       f->entry.push_back(span.enter_face);
-      f->xs.push_back(lx);
-      f->ys.push_back(ly);
-      f->entry4.push_back(le);
     }
     return f;
   }();
@@ -207,47 +170,6 @@ void BM_VerticalCrossingCoef(benchmark::State& state) {
 }
 BENCHMARK(BM_VerticalCrossingCoef);
 
-void BM_VerticalCrossingSimd(benchmark::State& state) {
-  const auto& fx = crossing_fixture();
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < fx.coef.size(); ++i) {
-      double s[6];
-      coef_edge_products_simd(fx.coef[i], fx.xi[i], s);
-      const VerticalExit ve = coef_vertical_exit(fx.coef[i], s, fx.entry[i]);
-      acc += ve.z_exit;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fx.coef.size()));
-}
-BENCHMARK(BM_VerticalCrossingSimd);
-
-void BM_VerticalCrossingBatch(benchmark::State& state) {
-  const auto& fx = crossing_fixture();
-  static_assert(simd::kLanes == 4);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < fx.coef.size(); ++i) {
-      double prod[6][simd::kLanes];
-      coef_edge_products_batch(fx.coef[i], fx.xs[i].data(), fx.ys[i].data(),
-                               prod);
-      for (int l = 0; l < 4; ++l) {
-        double s[6];
-        for (int e = 0; e < 6; ++e) s[e] = prod[e][l];
-        const VerticalExit ve = coef_vertical_exit(
-            fx.coef[i], s, fx.entry4[i][static_cast<std::size_t>(l)]);
-        acc += ve.z_exit;
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fx.coef.size()) * 4);
-}
-BENCHMARK(BM_VerticalCrossingBatch);
-
 void BM_IntegrateSingleLine(benchmark::State& state) {
   const auto& recon = shared_recon();
   double x = 1.0;
@@ -262,13 +184,4 @@ BENCHMARK(BM_IntegrateSingleLine);
 }  // namespace
 }  // namespace dtfe
 
-// Custom main so the JSON "context" records which SIMD ISA the build
-// carries — run_bench copies it into the host stanza of BENCH_kernel.json.
-int main(int argc, char** argv) {
-  benchmark::AddCustomContext("simd_isa", dtfe::simd::isa_name());
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -5,17 +5,16 @@
 #   1. configure + build the default tree and run the full tier-1 ctest suite;
 #   2. perf-smoke: run scripts/run_bench.sh --smoke, validate the
 #      BENCH_kernel.json schema (including the simd_vs_scalar crossing A/B
-#      and its >=1.3x floor), pin the machine-independent op counters
-#      (dtfe.delaunay.walk_steps, dtfe.kernel.tetra_crossings) against
-#      bench/perf_reference.json — a perf change that alters the WORK done
-#      must update the reference intentionally — and run the pipeline with
-#      --use-simd on AND off, pinning identical tetra_crossings and grid
-#      checksums across the two;
+#      and its >=1.3x floor on the coefficient form) and pin the
+#      machine-independent op counters (dtfe.delaunay.walk_steps,
+#      dtfe.kernel.tetra_crossings) against bench/perf_reference.json — a
+#      perf change that alters the WORK done must update the reference
+#      intentionally;
 #   3. rebuild under ThreadSanitizer (DTFE_SANITIZE=thread) and run the
 #      concurrency-sensitive suites — the fault-injection, durable-execution,
 #      and overlapped-executor labels — against that build;
 #   4. rebuild under UBSan (DTFE_SANITIZE=undefined) and run the geometry,
-#      kernel-parity, FOF cell-key, result-codec and engine suites against
+#      march-table, FOF cell-key, result-codec and engine suites against
 #      that build.
 #
 # usage: ci.sh [--skip-tsan] [--skip-perf] [--jobs N]
@@ -69,12 +68,11 @@ for key in ("schema", "mode", "host", "micro_delaunay", "micro_kernels",
             "simd_vs_scalar", "pipeline"):
     assert key in doc, f"BENCH_kernel.json missing top-level key {key!r}"
 assert doc["schema"] == "pdtfe-bench-v1", doc["schema"]
-assert "simd_isa" in doc["host"], "host missing simd_isa"
 for key in ("inserts_per_sec_reuse", "inserts_per_sec_noreuse",
             "allocs_per_insert_reuse", "allocs_per_insert_noreuse"):
     assert key in doc["micro_delaunay"], f"micro_delaunay missing {key!r}"
-for key in ("crossings_per_sec_aos_scalar", "crossings_per_sec_simd",
-            "speedup_coef_vs_aos", "speedup_simd_vs_aos"):
+for key in ("crossings_per_sec_aos_scalar", "crossings_per_sec_coef_scalar",
+            "speedup_coef_vs_aos"):
     assert key in doc["simd_vs_scalar"], f"simd_vs_scalar missing {key!r}"
 for key in ("serial_wall_s", "overlap_wall_s", "speedup",
             "overlap_expected_win", "checksums_equal",
@@ -89,10 +87,10 @@ if doc["pipeline"]["overlap_expected_win"]:
     assert doc["pipeline"]["speedup"] > 0.9, \
         f"overlap regressed serial on a multi-core host: {doc['pipeline']}"
 
-# The SoA crossing test must beat the pre-table AoS path outright (the
-# tentpole's acceptance floor).
-assert doc["simd_vs_scalar"]["speedup_simd_vs_aos"] >= 1.3, \
-    f"SIMD crossing speedup below 1.3x: {doc['simd_vs_scalar']}"
+# The SoA coefficient crossing test must beat the pre-table AoS path
+# outright.
+assert doc["simd_vs_scalar"]["speedup_coef_vs_aos"] >= 1.3, \
+    f"coefficient crossing speedup below 1.3x: {doc['simd_vs_scalar']}"
 
 # Scratch reuse must actually reduce allocation churn.
 md = doc["micro_delaunay"]
@@ -107,45 +105,6 @@ for name, expect in want.items():
         f"{name}: got {got.get(name)}, reference {expect} — the amount of "
         "work changed; if intentional, regenerate bench/perf_reference.json")
 print("perf-smoke: schema valid, op counters match the reference")
-PY
-
-  echo "== perf-smoke: SIMD on/off A/B (pinned crossings + checksum equality)"
-  # The SoA/SIMD batch route must classify EXACTLY the same tetra crossings
-  # and produce bitwise-identical grids as the scalar route — the tentpole's
-  # determinism contract, asserted here end-to-end through the CLI.
-  SIMD_TMP="$(mktemp -d)"
-  trap 'rm -rf "$SIMD_TMP"' EXIT
-  build/apps/pdtfe generate --out "$SIMD_TMP/snap.bin" \
-      --n 40000 --box 16 --seed 3 >/dev/null
-  for mode in on off; do
-    build/apps/pdtfe pipeline --in "$SIMD_TMP/snap.bin" --ranks 2 --fields 6 \
-        --grid 24 --length 3 --use-simd "$mode" \
-        --report "$SIMD_TMP/$mode" \
-        --metrics-out "$SIMD_TMP/${mode}_metrics.json" >/dev/null
-  done
-  python3 - "$SIMD_TMP" <<'PY'
-import json, sys
-
-tmp = sys.argv[1]
-def load(name):
-    with open(f"{tmp}/{name}") as f:
-        return json.load(f)
-
-on, off = load("on.json")["summary"], load("off.json")["summary"]
-mon, moff = load("on_metrics.json"), load("off_metrics.json")
-
-assert on["grid_checksum_total"] == off["grid_checksum_total"], (
-    f"simd on/off grids differ: {on['grid_checksum_total']} vs "
-    f"{off['grid_checksum_total']}")
-key = "dtfe.kernel.tetra_crossings"
-con, coff = mon["counters"][key], moff["counters"][key]
-assert con == coff, f"tetra_crossings differ across simd on/off: {con} vs {coff}"
-lanes = mon["counters"].get("dtfe.kernel.simd_batch_lanes", 0)
-assert lanes > 0, "simd on run recorded no batched lanes — batch path inactive"
-assert moff["counters"].get("dtfe.kernel.simd_batch_lanes", 0) == 0, \
-    "simd off run recorded batched lanes"
-print(f"simd on/off: checksums equal, {con} crossings each, "
-      f"{lanes} batched lanes on the simd path")
 PY
 fi
 
@@ -174,15 +133,15 @@ cmake --build build-ubsan -j"$JOBS"
 
 echo "== ubsan: geometry/kernel/nbody/codec/engine suites"
 # UBSan is built with -fno-sanitize-recover=all, so any undefined operation
-# (misaligned SIMD load, signed overflow in the walk counters, bad enum cast
-# in the codec) aborts the test. The simd parity suite is the main target:
-# it drives the packed load/store routes over degenerate geometry.
+# (signed overflow in the walk counters, bad enum cast in the codec) aborts
+# the test. march_tables_test drives the coefficient crossing test over
+# degenerate geometry.
 # nbody_test drives the FOF cell-key and neighbour-row index arithmetic over
 # adversarial placements; transport_test round-trips the result codec,
 # including empty vectors. The targeted binaries run directly (ctest
 # registers per-CASE names, not binary names); the engine label covers
 # engine_test + executor_test.
-for t in simd_parity_test ray_tetra_test kernels_test predicates_test \
+for t in march_tables_test ray_tetra_test kernels_test predicates_test \
          nbody_test transport_test; do
   "build-ubsan/tests/$t"
 done

@@ -82,14 +82,9 @@ dl = {b["name"]: b for b in load("delaunay.json")["benchmarks"]}
 reuse = dl["BM_DelaunayInsertScratch/20000/1"]
 noreuse = dl["BM_DelaunayInsertScratch/20000/0"]
 
-kjson = load("kernels.json")
-# The custom micro_kernels main records the compiled SIMD ISA in the
-# benchmark context ("sse2" / "neon" / "scalar").
-simd_isa = kjson.get("context", {}).get("simd_isa", "unknown")
-
 kernels = {}
 crossing = {}
-for b in kjson["benchmarks"]:
+for b in load("kernels.json")["benchmarks"]:
     row = {
         "real_time_ms": round(b["real_time"], 3)
         if b["time_unit"] == "ms" else round(b["real_time"] / 1e6, 3),
@@ -100,17 +95,14 @@ for b in kjson["benchmarks"]:
     else:
         kernels[b["name"]] = row
 
-# Crossing-test A/B: the SoA+SIMD route vs the pre-table AoS scalar test
-# (both classify identical crossings; see bench/micro_kernels.cpp). The
-# committed speedup is the tentpole's acceptance number.
+# Crossing-test A/B: the SoA coefficient test the march runs vs the
+# pre-table AoS test (both classify identical crossings; see
+# bench/micro_kernels.cpp). CI floors the speedup at 1.3x.
 aos = crossing["BM_VerticalCrossingAos"]
 simd_vs_scalar = {
     "crossings_per_sec_aos_scalar": round(aos),
     "crossings_per_sec_coef_scalar": round(crossing["BM_VerticalCrossingCoef"]),
-    "crossings_per_sec_simd": round(crossing["BM_VerticalCrossingSimd"]),
-    "crossings_per_sec_batch": round(crossing["BM_VerticalCrossingBatch"]),
     "speedup_coef_vs_aos": round(crossing["BM_VerticalCrossingCoef"] / aos, 3),
-    "speedup_simd_vs_aos": round(crossing["BM_VerticalCrossingSimd"] / aos, 3),
 }
 
 serial = load("serial.json")["summary"]
@@ -131,8 +123,7 @@ overlap_expected_win = cores is not None and cores > 1
 doc = {
     "schema": "pdtfe-bench-v1",
     "mode": mode,
-    "host": {"cores": cores, "platform": os.uname().sysname,
-             "simd_isa": simd_isa},
+    "host": {"cores": cores, "platform": os.uname().sysname},
     "micro_delaunay": {
         "inserts_per_sec_reuse": round(reuse["items_per_second"]),
         "inserts_per_sec_noreuse": round(noreuse["items_per_second"]),

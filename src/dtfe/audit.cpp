@@ -22,7 +22,6 @@ struct AuditMetrics {
   obs::MetricId negative = obs::counter("dtfe.audit.negative");
   obs::MetricId mass = obs::counter("dtfe.audit.mass_mismatch");
   obs::MetricId spot = obs::counter("dtfe.audit.spot_mismatch");
-  obs::MetricId simd_mismatch = obs::counter("dtfe.audit.simd_mismatch");
   obs::MetricId velocity_mean = obs::counter("dtfe.audit.velocity_mean");
   obs::MetricId div_theorem = obs::counter("dtfe.audit.div_theorem");
 };
@@ -138,13 +137,12 @@ AuditResult audit_field_item(const Grid2D& grid, const FieldSpec& spec,
   // the SAME fixed z planes (paper Fig. 6 protocol).
   if (opt.level == AuditLevel::kFull && density != nullptr && hull != nullptr &&
       std::isfinite(spec.zmin) && std::isfinite(spec.zmax)) {
-    // One geometry table shared by every audit kernel over this item.
-    const auto geom =
-        std::make_shared<const TetraGeomTable>(density->triangulation());
+    // A few lines repay no march tables: the kernel computes the entries it
+    // visits, bitwise the same.
     MarchingOptions mo;
     mo.z_samples = opt.spot_z_samples;
     mo.seed = opt.seed;
-    const MarchingKernel march(*density, *hull, mo, geom);
+    const MarchingKernel march(*density, *hull, mo);
     std::uint64_t rng = opt.seed ? opt.seed : 0x5eedf00dULL;
     for (int s = 0; s < opt.spot_checks; ++s) {
       ++res.checks_run;
@@ -167,36 +165,6 @@ AuditResult audit_field_item(const Grid2D& grid, const FieldSpec& spec,
                          "): march " + fmt(via_march) + " vs walk " +
                          fmt(via_walk) + " (rel " + fmt(rel) + ")"});
     }
-
-    // full: SIMD parity — a coarse render of the same physical region with
-    // the batched tile path forced on vs off must match BITWISE (the
-    // MarchingOptions::use_simd contract). Runs on every build: without a
-    // native ISA the scalar lanes still exercise tile scheduling against
-    // the per-ray loop, which is where ordering bugs would hide.
-    {
-      ++res.checks_run;
-      FieldSpec mini = spec;
-      mini.resolution = std::min<std::size_t>(spec.resolution, 8);
-      MarchingOptions so;
-      so.seed = opt.seed;
-      so.monte_carlo_samples = 2;  // cover the jittered-ξ path too
-      so.use_simd = SimdMode::kOn;
-      const MarchingKernel simd_on(*density, *hull, so, geom);
-      so.use_simd = SimdMode::kOff;
-      const MarchingKernel simd_off(*density, *hull, so, geom);
-      const Grid2D gon = simd_on.render(mini);
-      const Grid2D goff = simd_off.render(mini);
-      std::size_t diff = 0, first = gon.size();
-      for (std::size_t i = 0; i < gon.size(); ++i)
-        if (gon.flat(i) != goff.flat(i) && ++diff == 1) first = i;
-      if (diff > 0)
-        res.violations.push_back(
-            {"simd", std::to_string(diff) +
-                         " cells differ between use_simd on/off (first flat "
-                         "index " +
-                         std::to_string(first) + ": " + fmt(gon.flat(first)) +
-                         " vs " + fmt(goff.flat(first)) + ")"});
-    }
   }
 
   if (obs::metrics_enabled()) {
@@ -209,7 +177,6 @@ AuditResult audit_field_item(const Grid2D& grid, const FieldSpec& spec,
       else if (f.check == "negative") obs::add(m.negative);
       else if (f.check == "mass") obs::add(m.mass);
       else if (f.check == "spot") obs::add(m.spot);
-      else if (f.check == "simd") obs::add(m.simd_mismatch);
     }
   }
   return res;

@@ -27,10 +27,6 @@
 // which compute them at each visit with the very functions the tables are
 // filled from — so both routes render bitwise-identical grids, and a
 // few-ray render of a large mesh allocates no per-cell table at all.
-//
-// This header also carries the SIMD evaluation routes for the coefficient
-// polynomial — they pair geometry/tetra_coef.h with util/simd.h, which the
-// geometry layer (below util/) cannot include itself.
 #pragma once
 
 #include <cmath>
@@ -41,42 +37,10 @@
 
 #include "delaunay/triangulation.h"
 #include "geometry/tetra_coef.h"
-#include "util/simd.h"
 
 namespace dtfe {
 
 class DensityField;
-
-/// Edge-parallel SIMD evaluation of the six edge products: edges 0–3 in one
-/// 4-lane vector, edges 4–5 scalar. Same (c + bx·x) + by·y order per edge
-/// as coef_edge_products, hence bitwise-equal results.
-inline void coef_edge_products_simd(const VerticalTetraCoef& t, const Vec2& xi,
-                                    double s[6]) {
-  const simd::Pack4d px = simd::set1(xi.x);
-  const simd::Pack4d py = simd::set1(xi.y);
-  const simd::Pack4d r =
-      simd::add(simd::add(simd::load(t.c), simd::mul(simd::load(t.bx), px)),
-                simd::mul(simd::load(t.by), py));
-  simd::store(s, r);
-  s[4] = (t.c[4] + t.bx[4] * xi.x) + t.by[4] * xi.y;
-  s[5] = (t.c[5] + t.bx[5] * xi.x) + t.by[5] * xi.y;
-}
-
-/// Ray-parallel SIMD evaluation: simd::kLanes rays against one broadcast
-/// tetra. out[e][l] is edge e's product for ray l, bitwise equal to
-/// coef_edge_products at (xs[l], ys[l]).
-inline void coef_edge_products_batch(const VerticalTetraCoef& t,
-                                     const double* xs, const double* ys,
-                                     double out[6][simd::kLanes]) {
-  const simd::Pack4d px = simd::load(xs);
-  const simd::Pack4d py = simd::load(ys);
-  for (int e = 0; e < 6; ++e) {
-    const simd::Pack4d s = simd::add(
-        simd::add(simd::set1(t.c[e]), simd::mul(simd::set1(t.bx[e]), px)),
-        simd::mul(simd::set1(t.by[e]), py));
-    simd::store(out[e], s);
-  }
-}
 
 /// Whether tables for a mesh of `cells` live cells pay off over computing
 /// their entries at each visit, for a render of `rays` vertical lines. A

@@ -8,13 +8,11 @@
 // intermediate 3D grid is ever built, and the sample points are the
 // mathematically optimal ones.
 //
-// The vertical hot path runs on precomputed SoA coefficient tables
-// (dtfe/march_tables.h, DESIGN.md §11) built once per triangulation and
-// shared across channels — or, when a render has too few rays to repay a
-// build over every cell, on the same entries computed at each visit; with
-// use_simd active, rays are marched in 4-wide pixel tiles whose edge
-// products evaluate in SIMD — bitwise identical to the scalar path by
-// construction. The direct AoS classifiers remain behind
+// The vertical hot path marches one ray per pixel over precomputed SoA
+// coefficient tables (dtfe/march_tables.h, DESIGN.md §11) built once per
+// triangulation and shared across channels — or, when a render has too few
+// rays to repay a build over every cell, over the same entries computed at
+// each visit, bitwise identically. The direct AoS classifiers remain behind
 // use_general_plucker/use_moller_trumbore as the audit/ablation oracle.
 //
 // Degeneracies (ℓ hits a vertex/edge or is coplanar with a face) are handled
@@ -31,7 +29,6 @@
 #include "dtfe/field.h"
 #include "dtfe/march_tables.h"
 #include "util/cancel.h"
-#include "util/simd.h"
 
 namespace dtfe {
 
@@ -51,11 +48,6 @@ struct MarchingOptions {
   /// Use the general-direction Plücker test instead of the vertical-line
   /// specialization (ablation; identical results, ~3× more arithmetic).
   bool use_general_plucker = false;
-  /// SIMD batching of the vertical fast path (tile marching + vectorized
-  /// edge products). kAuto enables it when the build carries a native ISA.
-  /// Grids are bitwise identical across on/off — the flag is a perf A/B
-  /// switch, not a results knob.
-  SimdMode use_simd = SimdMode::kAuto;
   /// Dynamic grid spacing (the mode the paper disabled "for clarity" in its
   /// Fig. 6 comparison): when > 0, every 2D cell whose corner line integrals
   /// disagree by more than adaptive_tolerance (relative) is split into 4 and
@@ -87,10 +79,6 @@ struct MarchingStats {
   std::uint64_t perturb_restarts = 0;    ///< degenerate marches restarted
   std::uint64_t failed_cells = 0;        ///< cells that hit the retry cap
   std::uint64_t empty_cells = 0;         ///< ξ outside the hull silhouette
-  /// Crossing tests evaluated through the ray-parallel SIMD batch (lanes
-  /// that shared a walk front with a tile neighbor); 0 when use_simd
-  /// resolves off. Observability for the A/B bench, not a results signal.
-  std::uint64_t simd_batch_lanes = 0;
   /// Independent re-accumulation of every terminal ray's integral (weighted
   /// by its share of its 2D cell). In exact arithmetic this equals the sum
   /// of the rendered grid's values; the audit layer compares the two to
@@ -128,10 +116,6 @@ class MarchingKernel {
   static bool tables_pay_off(const FieldSpec& spec, const MarchingOptions& opt,
                              std::size_t cells);
 
-  /// Whether the SIMD batch path is active for this kernel (opt.use_simd
-  /// resolved against the compiled ISA and the fast-path preconditions).
-  bool simd_active() const { return simd_on_; }
-
  private:
   /// Result of one un-perturbed march attempt along a fixed ξ.
   struct Attempt {
@@ -159,12 +143,9 @@ class MarchingKernel {
     return opt_.use_moller_trumbore || opt_.use_general_plucker;
   }
 
+  /// March ξ, perturbing and retrying while the march hits a degeneracy.
   LineResult march_line(Vec2 xi, double zmin, double zmax,
                         std::uint64_t& rng) const;
-  /// Perturb-retry continuation: takes attempt 0's outcome (from march_line
-  /// or from a tile lane) and drives the remaining scalar retries.
-  LineResult finish_line(Vec2 xi, double zmin, double zmax,
-                         std::uint64_t& rng, const Attempt& first) const;
   /// One attempt through the oracle, the tables, or the per-visit entries.
   Attempt march_once(const Vec2& xi, double zmin, double zmax) const;
   /// Vertical fast path over a geometry and field source: TetraGeomTable and
@@ -173,23 +154,10 @@ class MarchingKernel {
   Attempt march_once_fast(const Geom& geom, const Field& field, const Vec2& xi,
                           double zmin, double zmax) const;
   Attempt march_once_slow(const Vec2& xi, double zmin, double zmax) const;
-  /// March up to simd::kLanes rays in lockstep; lanes whose walk fronts
-  /// meet in one tetra share a ray-parallel batched crossing test.
-  /// `batch_lanes` accumulates how many tests took the batch route.
-  void march_tile(const Vec2* xi, int n, double zmin, double zmax,
-                  std::uint64_t* rng, LineResult* out,
-                  std::uint64_t& batch_lanes) const;
-  template <class Geom, class Field>
-  void march_tile_fast(const Geom& geom, const Field& field, const Vec2* xi,
-                       int n, double zmin, double zmax, std::uint64_t* rng,
-                       LineResult* out, std::uint64_t& batch_lanes) const;
-  /// Accumulate one tetra's contribution over [a, b) into sigma — shared by
-  /// the scalar and tile walks so their arithmetic is identical.
+  /// Accumulate one tetra's contribution over [a, b) into sigma.
   void add_interval(const CellInterpolant& k, const Vec2& xi, double a,
                     double b, double zmin, double zmax, double dz,
                     double& sigma) const;
-  void edge_products(const VerticalTetraCoef& t, const Vec2& xi,
-                     double s[6]) const;
   /// Adaptive (quadtree) estimate of the mean surface density over the
   /// square cell centered at `center` with side `size`. `weight` is this
   /// node's share of the top-level 2D cell (1.0 at the root), used to
@@ -203,7 +171,6 @@ class MarchingKernel {
   MarchingOptions opt_;
   std::shared_ptr<const TetraGeomTable> geom_;
   std::shared_ptr<const FieldCoefTable> field_;
-  bool simd_on_ = false;
   mutable MarchingStats stats_;
 };
 

@@ -51,10 +51,6 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
   opt.kernel = args.get("kernel", std::string{"march"});
   if (!KernelRegistry::builtin().contains(opt.kernel))
     throw Error("unknown --kernel " + opt.kernel);
-  // Perf A/B switch for the marching kernel's SIMD batch path; grids are
-  // bitwise identical either way (parse_simd_mode throws on bad input).
-  opt.use_simd = parse_simd_mode(args.get("use-simd", std::string{"auto"}));
-
   // Field channel selection (DESIGN.md §10). parse_field_kind throws the
   // user-facing message for unknown names.
   opt.field = parse_field_kind(args.get("field", std::string{"density"}));

@@ -27,7 +27,6 @@
 #include "nbody/particles.h"
 #include "simmpi/comm.h"
 #include "util/cancel.h"
-#include "util/simd.h"
 
 namespace dtfe {
 
@@ -56,10 +55,6 @@ struct PipelineOptions {
   /// Jittered realizations averaged per item (Aragon-Calvo 2020
   /// mass-conserving stochastic smoothing); 1 = exact legacy render.
   int smooth_ensemble = 1;
-  /// SIMD batching inside the marching kernel's vertical fast path
-  /// (dtfe/marching_kernel.h). Rendered grids are bitwise identical across
-  /// on/off — this is a perf A/B switch, surfaced as --use-simd.
-  SimdMode use_simd = SimdMode::kAuto;
   // --- fault tolerance (see README "Fault tolerance") ---------------------
   /// Run the acknowledged work-package protocol plus the post-execution
   /// recovery phase. Off = the paper's original fire-and-forget exchange.

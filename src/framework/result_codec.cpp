@@ -14,8 +14,9 @@ constexpr std::uint32_t kConfigMagic = 0x43464750u;  // "PGFC"
 constexpr std::uint32_t kResultMagic = 0x52534C50u;  // "PLSR"
 // v2: PipelineOptions gained field/smooth_ensemble, grids became
 // multi-channel FieldGrids, and WorkerPayload ships histogram snapshots.
-// v3: PipelineOptions gained use_simd (marching kernel SIMD A/B switch).
-constexpr std::uint32_t kVersion = 3;
+// v3: PipelineOptions gained the marching kernel's SIMD A/B switch.
+// v4: that switch removed with the SIMD route it selected.
+constexpr std::uint32_t kVersion = 4;
 
 class ByteWriter {
  public:
@@ -132,7 +133,6 @@ void write_options(ByteWriter& w, const PipelineOptions& o) {
   w.pod(o.threads);
   w.pod(static_cast<std::uint64_t>(o.field));
   w.pod(o.smooth_ensemble);
-  w.pod(static_cast<std::int32_t>(o.use_simd));
 }
 
 PipelineOptions read_options(ByteReader& r) {
@@ -149,7 +149,12 @@ PipelineOptions read_options(ByteReader& r) {
   o.fault_tolerant = r.pod<std::uint8_t>() != 0;
   o.max_retries = r.pod<int>();
   o.comm_timeout_ms = r.pod<int>();
-  o.bad_particles = static_cast<BadParticlePolicy>(r.pod<std::int32_t>());
+  const auto bad_particles = r.pod<std::int32_t>();
+  DTFE_CHECK_MSG(bad_particles >= 0 &&
+                     bad_particles <=
+                         static_cast<std::int32_t>(BadParticlePolicy::kClamp),
+                 "launch config: bad particle policy " << bad_particles);
+  o.bad_particles = static_cast<BadParticlePolicy>(bad_particles);
   o.checkpoint_dir = r.str();
   o.resume = r.pod<std::uint8_t>() != 0;
   o.item_deadline_ms = r.pod<double>();
@@ -159,9 +164,11 @@ PipelineOptions read_options(ByteReader& r) {
   o.audit_fatal = r.pod<std::uint8_t>() != 0;
   o.compute_ahead = r.pod<int>();
   o.threads = r.pod<int>();
-  o.field = static_cast<FieldKind>(r.pod<std::uint64_t>());
+  const auto field = r.pod<std::uint64_t>();
+  DTFE_CHECK_MSG(field <= static_cast<std::uint64_t>(FieldKind::kGrad),
+                 "launch config: bad field kind " << field);
+  o.field = static_cast<FieldKind>(field);
   o.smooth_ensemble = r.pod<int>();
-  o.use_simd = static_cast<SimdMode>(r.pod<std::int32_t>());
   return o;
 }
 

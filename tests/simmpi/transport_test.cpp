@@ -340,6 +340,46 @@ TEST(ResultCodec, RejectsGarbage) {
   EXPECT_THROW(decode_worker_payload({}), Error);
 }
 
+TEST(ResultCodec, RejectsOutOfRangeEnums) {
+  // An unchecked cast would hand the pipeline an enum that matches no case:
+  // an unknown bad-particle policy silently drops every particle.
+  LaunchConfig cfg;
+  cfg.snapshot = "snap.bin";
+  const std::vector<std::byte> base = encode_launch_config(cfg);
+  // Locate a field's bytes by encoding a second config that differs in it.
+  auto offset_of = [&](void (*mutate)(PipelineOptions&)) {
+    LaunchConfig other = cfg;
+    mutate(other.pipeline);
+    const std::vector<std::byte> moved = encode_launch_config(other);
+    std::size_t i = 0;
+    while (i < base.size() && base[i] == moved[i]) ++i;
+    return i;
+  };
+  const std::size_t bad_at = offset_of(
+      [](PipelineOptions& o) { o.bad_particles = BadParticlePolicy::kClamp; });
+  const std::size_t field_at =
+      offset_of([](PipelineOptions& o) { o.field = FieldKind::kGrad; });
+  ASSERT_LT(bad_at, base.size());
+  ASSERT_LT(field_at, base.size());
+
+  auto patched = [&](std::size_t at, auto value) {
+    std::vector<std::byte> bytes = base;
+    std::memcpy(bytes.data() + at, &value, sizeof value);
+    return bytes;
+  };
+  // The offsets are right: in-range values decode.
+  EXPECT_EQ(decode_launch_config(patched(bad_at, std::int32_t{2}))
+                .pipeline.bad_particles,
+            BadParticlePolicy::kClamp);
+  EXPECT_EQ(decode_launch_config(patched(field_at, std::uint64_t{3}))
+                .pipeline.field,
+            FieldKind::kGrad);
+  for (const std::int32_t v : {3, -1, 1000})
+    EXPECT_THROW(decode_launch_config(patched(bad_at, v)), Error) << v;
+  for (const std::uint64_t v : {4ull, ~0ull})
+    EXPECT_THROW(decode_launch_config(patched(field_at, v)), Error) << v;
+}
+
 // ---- heartbeat failure detection -------------------------------------------
 
 TEST(Heartbeat, SilentWorkerIsDeclaredDead) {
