@@ -1,5 +1,6 @@
-// Delaunay construction and point-location ablations: spatial sort on/off,
-// uniform vs clustered input, walk hint strategies.
+// Delaunay construction and point-location ablations: BRIO order vs input
+// order, uniform vs clustered input, insertion throughput and allocations,
+// walk hint strategies.
 #include <benchmark/benchmark.h>
 
 #include "delaunay/hull_projection.h"
@@ -47,21 +48,18 @@ void BM_DelaunayBuildClustered(benchmark::State& state) {
 }
 BENCHMARK(BM_DelaunayBuildClustered)->Arg(20000)->Unit(benchmark::kMillisecond);
 
-void BM_DelaunayInsertScratch(benchmark::State& state) {
-  // A/B for the insertion fast path: reusing the conflict-BFS scratch and
-  // cavity boundary buffers across insertions vs per-insert allocation.
-  // Reports inserts/sec and allocations-per-insert (container regrowth
-  // events counted by the triangulation itself).
+void BM_DelaunayInsert(benchmark::State& state) {
+  // Insertion throughput on the uniform 20k set, plus allocations per insert
+  // (container regrowth events — cell store, insertion scratch, cavity-edge
+  // map — counted by the triangulation itself; scratch is reused across
+  // inserts, so this stays near zero).
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool reuse = state.range(1) != 0;
   Rng rng(1);
   std::vector<Vec3> pts(n);
   for (auto& p : pts) p = {rng.uniform(), rng.uniform(), rng.uniform()};
-  TriangulationOptions opt;
-  opt.reuse_insert_scratch = reuse;
   std::size_t alloc_events = 0;
   for (auto _ : state) {
-    Triangulation tri(pts, opt);
+    Triangulation tri(pts);
     benchmark::DoNotOptimize(tri.num_cells());
     alloc_events = tri.alloc_events();
   }
@@ -69,10 +67,7 @@ void BM_DelaunayInsertScratch(benchmark::State& state) {
   state.counters["allocs_per_insert"] =
       static_cast<double>(alloc_events) / static_cast<double>(n);
 }
-BENCHMARK(BM_DelaunayInsertScratch)
-    ->Args({20000, 1})
-    ->Args({20000, 0})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DelaunayInsert)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 void BM_LocateWithHints(benchmark::State& state) {
   // Coherent queries (a z-column walk) with remembering hints.

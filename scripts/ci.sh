@@ -4,18 +4,20 @@
 #
 #   1. configure + build the default tree and run the full tier-1 ctest suite;
 #   2. perf-smoke: run scripts/run_bench.sh --smoke, validate the
-#      BENCH_kernel.json schema (including the simd_vs_scalar crossing A/B
-#      and its >=1.3x floor on the coefficient form) and pin the
-#      machine-independent op counters (dtfe.delaunay.walk_steps,
-#      dtfe.kernel.tetra_crossings) against bench/perf_reference.json — a
-#      perf change that alters the WORK done must update the reference
-#      intentionally;
+#      BENCH_kernel.json schema (including the coef_vs_aos crossing A/B
+#      and its >=1.3x floor on the coefficient form, and an absolute bound
+#      on Delaunay allocations per insert), pin the machine-independent op
+#      counters (dtfe.delaunay.walk_steps, dtfe.kernel.tetra_crossings)
+#      against bench/perf_reference.json — a perf change that alters the
+#      WORK done must update the reference intentionally — and fail when a
+#      Delaunay health ratio (conflict / created cells per insert) exceeds
+#      its upper bound there;
 #   3. rebuild under ThreadSanitizer (DTFE_SANITIZE=thread) and run the
 #      concurrency-sensitive suites — the fault-injection, durable-execution,
 #      and overlapped-executor labels — against that build;
 #   4. rebuild under UBSan (DTFE_SANITIZE=undefined) and run the geometry,
-#      march-table, FOF cell-key, result-codec and engine suites against
-#      that build.
+#      triangulation, march-table, FOF cell-key, result-codec, durable and
+#      engine suites against that build.
 #
 # usage: ci.sh [--skip-tsan] [--skip-perf] [--jobs N]
 set -euo pipefail
@@ -65,18 +67,18 @@ with open("bench/perf_reference.json") as f:
 
 # Schema gate: a bench-script change must not silently break consumers.
 for key in ("schema", "mode", "host", "micro_delaunay", "micro_kernels",
-            "simd_vs_scalar", "pipeline"):
+            "coef_vs_aos", "pipeline"):
     assert key in doc, f"BENCH_kernel.json missing top-level key {key!r}"
-assert doc["schema"] == "pdtfe-bench-v1", doc["schema"]
-for key in ("inserts_per_sec_reuse", "inserts_per_sec_noreuse",
-            "allocs_per_insert_reuse", "allocs_per_insert_noreuse"):
+assert doc["schema"] == "pdtfe-bench-v2", doc["schema"]
+for key in ("inserts_per_sec", "allocs_per_insert"):
     assert key in doc["micro_delaunay"], f"micro_delaunay missing {key!r}"
 for key in ("crossings_per_sec_aos_scalar", "crossings_per_sec_coef_scalar",
             "speedup_coef_vs_aos"):
-    assert key in doc["simd_vs_scalar"], f"simd_vs_scalar missing {key!r}"
+    assert key in doc["coef_vs_aos"], f"coef_vs_aos missing {key!r}"
 for key in ("serial_wall_s", "overlap_wall_s", "speedup",
             "overlap_expected_win", "checksums_equal",
-            "op_counters", "crossings_per_sec_serial",
+            "op_counters", "conflict_cells_per_insert",
+            "cells_created_per_insert", "crossings_per_sec_serial",
             "crossings_per_sec_overlap"):
     assert key in doc["pipeline"], f"pipeline missing {key!r}"
 assert doc["pipeline"]["checksums_equal"] is True, \
@@ -89,13 +91,14 @@ if doc["pipeline"]["overlap_expected_win"]:
 
 # The SoA coefficient crossing test must beat the pre-table AoS path
 # outright.
-assert doc["simd_vs_scalar"]["speedup_coef_vs_aos"] >= 1.3, \
-    f"coefficient crossing speedup below 1.3x: {doc['simd_vs_scalar']}"
+assert doc["coef_vs_aos"]["speedup_coef_vs_aos"] >= 1.3, \
+    f"coefficient crossing speedup below 1.3x: {doc['coef_vs_aos']}"
 
-# Scratch reuse must actually reduce allocation churn.
+# Insertion reuses its scratch (cell store, BFS buffers, cavity-edge map):
+# allocations must stay a rounding error per insert.
 md = doc["micro_delaunay"]
-assert md["allocs_per_insert_reuse"] < md["allocs_per_insert_noreuse"], \
-    f"scratch reuse did not reduce allocations: {md}"
+assert md["allocs_per_insert"] < 0.01, \
+    f"Delaunay insertion allocates per insert: {md}"
 
 # Pinned work counts: same fixture, same walk, same crossings — exactly.
 got = doc["pipeline"]["op_counters"]
@@ -104,7 +107,14 @@ for name, expect in want.items():
     assert got.get(name) == expect, (
         f"{name}: got {got.get(name)}, reference {expect} — the amount of "
         "work changed; if intentional, regenerate bench/perf_reference.json")
-print("perf-smoke: schema valid, op counters match the reference")
+
+# Delaunay health: cavity sizes above the bound mean the insertion order lost
+# its random rounds (pure spatial order roughly doubles both ratios).
+for name, bound in ref["health_upper_bounds"].items():
+    value = doc["pipeline"][name]
+    assert value <= bound, f"{name}: {value} above its bound {bound}"
+print("perf-smoke: schema valid, op counters match the reference, "
+      "health ratios within bounds")
 PY
 fi
 
@@ -131,18 +141,21 @@ cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DDTFE_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j"$JOBS"
 
-echo "== ubsan: geometry/kernel/nbody/codec/engine suites"
+echo "== ubsan: geometry/delaunay/kernel/nbody/codec/durable/engine suites"
 # UBSan is built with -fno-sanitize-recover=all, so any undefined operation
 # (signed overflow in the walk counters, bad enum cast in the codec) aborts
 # the test. march_tables_test drives the coefficient crossing test over
-# degenerate geometry.
+# degenerate geometry; triangulation_test drives the BRIO round hashing (bit
+# casts of coordinates) and the cavity-edge map's hash indexing over
+# cospherical lattices and duplicates; durable_test replays damaged
+# checkpoint journals.
 # nbody_test drives the FOF cell-key and neighbour-row index arithmetic over
 # adversarial placements; transport_test round-trips the result codec,
 # including empty vectors. The targeted binaries run directly (ctest
 # registers per-CASE names, not binary names); the engine label covers
 # engine_test + executor_test.
 for t in march_tables_test ray_tetra_test kernels_test predicates_test \
-         nbody_test transport_test; do
+         triangulation_test nbody_test transport_test durable_test; do
   "build-ubsan/tests/$t"
 done
 ctest --test-dir build-ubsan --output-on-failure -L engine

@@ -4,14 +4,17 @@
 # numbers ride along with the code and regressions show up in review diffs.
 #
 # Three measurements:
-#   (1) micro_delaunay insert-scratch A/B — inserts/sec and allocations per
-#       insert with and without TriangulationOptions::reuse_insert_scratch;
-#   (2) micro_kernels render throughput (marching + walking);
+#   (1) micro_delaunay insertion — inserts/sec and allocations per insert
+#       (BM_DelaunayInsert; CI bounds the allocations);
+#   (2) micro_kernels render throughput (marching + walking) and the
+#       coefficient-vs-AoS crossing-test A/B;
 #   (3) end-to-end `pdtfe pipeline` on a generated snapshot, serial
 #       (--compute-ahead=0) vs overlapped (--compute-ahead=4, all cores),
 #       asserting the grid checksums are EXACTLY equal and recording the
-#       wall-time speedup plus the machine-independent op counters
-#       (dtfe.delaunay.walk_steps, dtfe.kernel.tetra_crossings) that CI pins.
+#       wall-time speedup, the machine-independent op counters
+#       (dtfe.delaunay.walk_steps, dtfe.kernel.tetra_crossings) that CI pins,
+#       and the Delaunay health ratios (conflict / created cells per insert)
+#       that CI bounds.
 #
 # usage: run_bench.sh [--smoke] [--out FILE]
 #   --smoke   small fixture + short benchmark reps (the CI perf-smoke job)
@@ -46,9 +49,9 @@ else
 fi
 THREADS="$(nproc)"
 
-echo "== micro_delaunay (insert-scratch A/B)"
+echo "== micro_delaunay (insertion throughput + allocations)"
 "$BUILD/bench/micro_delaunay" \
-    --benchmark_filter='BM_DelaunayInsertScratch' \
+    --benchmark_filter='BM_DelaunayInsert/' \
     --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
     > "$TMP/delaunay.json" 2>/dev/null
 
@@ -79,8 +82,7 @@ def load(name):
         return json.load(f)
 
 dl = {b["name"]: b for b in load("delaunay.json")["benchmarks"]}
-reuse = dl["BM_DelaunayInsertScratch/20000/1"]
-noreuse = dl["BM_DelaunayInsertScratch/20000/0"]
+insert = dl["BM_DelaunayInsert/20000"]
 
 kernels = {}
 crossing = {}
@@ -99,7 +101,7 @@ for b in load("kernels.json")["benchmarks"]:
 # pre-table AoS test (both classify identical crossings; see
 # bench/micro_kernels.cpp). CI floors the speedup at 1.3x.
 aos = crossing["BM_VerticalCrossingAos"]
-simd_vs_scalar = {
+coef_vs_aos = {
     "crossings_per_sec_aos_scalar": round(aos),
     "crossings_per_sec_coef_scalar": round(crossing["BM_VerticalCrossingCoef"]),
     "speedup_coef_vs_aos": round(crossing["BM_VerticalCrossingCoef"] / aos, 3),
@@ -119,19 +121,18 @@ cores = os.cpu_count()
 # nothing and pays coordination); tag the report so consumers don't read the
 # ~1.0x (or slightly below) speedup as a regression.
 overlap_expected_win = cores is not None and cores > 1
+inserted = sm["counters"]["dtfe.delaunay.points_inserted"]
 
 doc = {
-    "schema": "pdtfe-bench-v1",
+    "schema": "pdtfe-bench-v2",
     "mode": mode,
     "host": {"cores": cores, "platform": os.uname().sysname},
     "micro_delaunay": {
-        "inserts_per_sec_reuse": round(reuse["items_per_second"]),
-        "inserts_per_sec_noreuse": round(noreuse["items_per_second"]),
-        "allocs_per_insert_reuse": round(reuse["allocs_per_insert"], 6),
-        "allocs_per_insert_noreuse": round(noreuse["allocs_per_insert"], 6),
+        "inserts_per_sec": round(insert["items_per_second"]),
+        "allocs_per_insert": round(insert["allocs_per_insert"], 6),
     },
     "micro_kernels": kernels,
-    "simd_vs_scalar": simd_vs_scalar,
+    "coef_vs_aos": coef_vs_aos,
     "pipeline": {
         "particles": n,
         "fields": fields,
@@ -153,6 +154,14 @@ doc = {
             "dtfe.kernel.tetra_crossings":
                 sm["counters"]["dtfe.kernel.tetra_crossings"],
         },
+        # Delaunay health ratios, per inserted (unique) point: cells found in
+        # conflict and cells created. Random-order Bowyer-Watson in 3D sits
+        # near 20 / 27; a spatially sorted order without random rounds
+        # roughly doubles both. CI bounds them (bench/perf_reference.json).
+        "conflict_cells_per_insert": round(
+            sm["counters"]["dtfe.delaunay.conflict_cells"] / inserted, 3),
+        "cells_created_per_insert": round(
+            sm["counters"]["dtfe.delaunay.cells_created"] / inserted, 3),
         # Derived throughput: tetra crossings processed per wall-second.
         # The crossing count is machine-independent, so this is the kernel
         # work rate — comparable across runs with the same fixture and a

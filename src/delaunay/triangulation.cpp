@@ -1,6 +1,7 @@
 #include "delaunay/triangulation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/morton.h"
+#include "util/rng.h"
 
 namespace dtfe {
 
@@ -94,6 +96,32 @@ std::uint64_t edge_key(VertexId u, VertexId v) {
   return (a << 32) | b;
 }
 
+// Cavity-edge map slot states; slots >= 0 index Triangulation::cavity_edges_.
+constexpr std::int32_t kSlotEmpty = -1;
+constexpr std::int32_t kSlotPaired = -2;  // tombstone: never takes an entry
+
+// BRIO rounds (Amenta–Choi–Rote): a point lands in round r with probability
+// ~2^-(kBrioRounds-r), so about half the points refine in the last round, a
+// quarter in the one before, and so on.
+constexpr int kBrioRounds = 16;
+
+// Bit pattern of a coordinate with -0.0 folded onto +0.0, so points that
+// compare equal hash alike.
+std::uint64_t coord_bits(double x) {
+  return std::bit_cast<std::uint64_t>(x == 0.0 ? 0.0 : x);
+}
+
+// Round of a point from a hash of its POSITION, not its input index:
+// coincident points must share a round (and a Morton key) so the index
+// tie-break inserts the lowest coincident index first as the representative.
+std::uint64_t brio_round(const Vec3& p) {
+  std::uint64_t s = coord_bits(p.x);
+  s = detail::splitmix64(s) ^ coord_bits(p.y);
+  s = detail::splitmix64(s) ^ coord_bits(p.z);
+  const int tz = std::countr_zero(detail::splitmix64(s));
+  return static_cast<std::uint64_t>(kBrioRounds - 1 - std::min(tz, kBrioRounds - 1));
+}
+
 }  // namespace
 
 Triangulation::Triangulation(std::span<const Vec3> points, Options opt)
@@ -106,20 +134,23 @@ Triangulation::Triangulation(std::span<const Vec3> points, Options opt)
   std::iota(duplicate_of_.begin(), duplicate_of_.end(), VertexId{0});
   incident_cell_.assign(n, kNoCell);
 
-  // Insertion order: Morton over the bounding box (BRIO-style locality).
-  // Sorting packed (key, index) pairs keeps the comparator cache-local; the
-  // index tie-break makes a plain std::sort reproduce the stable order
-  // bit-for-bit, so the insertion sequence is unchanged.
+  // Insertion order: BRIO. Each point's round goes in the top 4 bits of its
+  // sort key and its Morton key over the bounding box (63 bits, shifted to
+  // 60) below, so one sort of packed (key, index) pairs orders by round, then
+  // along the curve within the round, then by index. Random rounds keep
+  // cavities at the random-order size; the curve keeps each walk short.
   std::vector<VertexId> order(n);
   std::iota(order.begin(), order.end(), VertexId{0});
   if (opt.spatial_sort) {
     Aabb box = Aabb::of(points_);
     const double ext = std::max(box.max_extent(), 1e-300);
     std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed(n);
-    for (std::size_t i = 0; i < n; ++i)
-      keyed[i] = {morton_key(points_[i].x, points_[i].y, points_[i].z,
-                             std::min({box.lo.x, box.lo.y, box.lo.z}), 1.0 / ext),
-                  static_cast<std::uint32_t>(i)};
+    for (std::size_t i = 0; i < n; ++i) {
+      const Vec3& p = points_[i];
+      const std::uint64_t z =
+          morton_key(p.x, p.y, p.z, std::min({box.lo.x, box.lo.y, box.lo.z}), 1.0 / ext);
+      keyed[i] = {(brio_round(p) << 60) | (z >> 4), static_cast<std::uint32_t>(i)};
+    }
     std::sort(keyed.begin(), keyed.end());
     for (std::size_t i = 0; i < n; ++i)
       order[i] = static_cast<VertexId>(keyed[i].second);
@@ -149,14 +180,12 @@ Triangulation::Triangulation(std::span<const Vec3> points, Options opt)
   // ~6.7n finite cells plus hull cells, and the free list recycles transient
   // cavity churn, so 7n slots covers the whole build without reallocating the
   // (hot) cell array mid-insertion.
-  reuse_insert_scratch_ = opt.reuse_insert_scratch;
   cells_.reserve(7 * n + 64);
-  if (reuse_insert_scratch_) {
-    conflict_cells_.reserve(64);
-    visited_.reserve(128);
-    boundary_.reserve(64);
-    cavity_edges_.reserve(192);
-  }
+  conflict_cells_.reserve(64);
+  visited_.reserve(128);
+  boundary_.reserve(64);
+  cavity_edges_.reserve(96);
+  edge_slots_.reserve(256);
 
   init_first_cell(a, b, c, d);
   num_unique_ = 4;
@@ -384,20 +413,9 @@ VertexId Triangulation::insert(VertexId vid, CellId hint, CellId* last_created) 
   }
   ++num_unique_;
 
-  // Scratch selection: the persistent members when reuse is on (fast path),
-  // fresh locals otherwise — the allocate-per-insert behavior kept for the
-  // scratch-reuse A/B in bench/micro_delaunay.
-  std::vector<CellId> local_visited;
-  std::vector<BoundaryFacet> local_boundary;
-  std::vector<CavityEdge> local_edges;
-  std::vector<CellId>& visited = reuse_insert_scratch_ ? visited_ : local_visited;
-  std::vector<BoundaryFacet>& boundary =
-      reuse_insert_scratch_ ? boundary_ : local_boundary;
-  std::vector<CavityEdge>& edges =
-      reuse_insert_scratch_ ? cavity_edges_ : local_edges;
-  visited.clear();
-  boundary.clear();
-  edges.clear();
+  visited_.clear();
+  boundary_.clear();
+  cavity_edges_.clear();
 
   // Allocation accounting for bench/micro_delaunay: capacity snapshots of
   // every container this insert can grow.
@@ -405,9 +423,10 @@ VertexId Triangulation::insert(VertexId vid, CellId hint, CellId* last_created) 
   const std::size_t cap_free = free_list_.capacity();
   const std::size_t cap_mark = cell_mark_.capacity();
   const std::size_t cap_conflict = conflict_cells_.capacity();
-  const std::size_t cap_visited = visited.capacity();
-  const std::size_t cap_boundary = boundary.capacity();
-  const std::size_t cap_edges = edges.capacity();
+  const std::size_t cap_visited = visited_.capacity();
+  const std::size_t cap_boundary = boundary_.capacity();
+  const std::size_t cap_edges = cavity_edges_.capacity();
+  const std::size_t cap_slots = edge_slots_.capacity();
 
   // --- grow the conflict region by BFS from the located cell ---------------
   if (cell_mark_.size() < cells_.size() + 8) cell_mark_.resize(cells_.size() + 8, 0);
@@ -415,7 +434,7 @@ VertexId Triangulation::insert(VertexId vid, CellId hint, CellId* last_created) 
 
   DTFE_DCHECK(cell_in_conflict(loc.cell, p));
   conflict_cells_.push_back(loc.cell);
-  visited.push_back(loc.cell);
+  visited_.push_back(loc.cell);
   cell_mark_[static_cast<std::size_t>(loc.cell)] = 1;
 
   // BFS over strictly conflicting cells; `bfs_from` processes queue entries
@@ -432,7 +451,7 @@ VertexId Triangulation::insert(VertexId vid, CellId hint, CellId* last_created) 
         } else {
           cell_mark_[static_cast<std::size_t>(nb)] = 2;
         }
-        visited.push_back(nb);
+        visited_.push_back(nb);
       }
     }
   };
@@ -453,19 +472,52 @@ VertexId Triangulation::insert(VertexId vid, CellId hint, CellId* last_created) 
       bf.d = t.v[kTetraFace[f][2]];
       bf.outside = nb;
       bf.outside_slot = mirror_index(cc, f);
-      boundary.push_back(bf);
+      boundary_.push_back(bf);
     }
   }
 
   // --- retriangulate the cavity --------------------------------------------
   for (const CellId cc : conflict_cells_) free_cell(cc);
 
-  // Create all cavity cells first, collecting the open apex-face edges; each
-  // cavity edge is shared by exactly two boundary facets, so sorting the list
-  // and pairing adjacent equal keys wires the same adjacency the per-insert
-  // hash map used to — without its node allocations.
+  // Wire the new cells to each other through the cavity-edge map: linear
+  // probing over edge_slots_, whose live slots index cavity_edges_. Each
+  // cavity edge is shared by exactly two boundary facets, so its first
+  // occurrence parks in the map and the second pairs with it and leaves a
+  // tombstone; the pairing depends only on the keys, not on probe order. A
+  // tombstone never takes an entry, so a key seen a third time stays open
+  // and fails the watertightness check. The table has at least one slot per
+  // edge, so every probe meets an empty slot.
+  const std::size_t n_edges = 3 * boundary_.size();
+  DTFE_CHECK_MSG((n_edges & 1) == 0, "cavity boundary was not watertight");
+  const std::size_t table = std::bit_ceil(n_edges);
+  const int shift = 64 - std::countr_zero(table);
+  if (edge_slots_.size() < table) edge_slots_.resize(table);
+  std::fill_n(edge_slots_.begin(), table, kSlotEmpty);
+  std::size_t open_edges = 0;
+  const auto pair_edge = [&](std::uint64_t key, CellId c, std::int32_t slot) {
+    // Fibonacci hashing: the top bits of key * 2^64/phi.
+    for (std::size_t h = static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> shift);;
+         h = (h + 1) & (table - 1)) {
+      const std::int32_t e = edge_slots_[h];
+      if (e == kSlotEmpty) {
+        edge_slots_[h] = static_cast<std::int32_t>(cavity_edges_.size());
+        cavity_edges_.push_back({key, c, slot});
+        ++open_edges;
+        return;
+      }
+      if (e == kSlotPaired) continue;
+      const CavityEdge& x = cavity_edges_[static_cast<std::size_t>(e)];
+      if (x.key != key) continue;
+      cells_[static_cast<std::size_t>(x.cell)].n[x.slot] = c;
+      cells_[static_cast<std::size_t>(c)].n[slot] = x.cell;
+      edge_slots_[h] = kSlotPaired;
+      --open_edges;
+      return;
+    }
+  };
+
   CellId first_new = kNoCell;
-  for (const BoundaryFacet& bf : boundary) {
+  for (const BoundaryFacet& bf : boundary_) {
     const CellId nc = new_cell();
     if (first_new == kNoCell) first_new = nc;
     Cell& t = cells_[static_cast<std::size_t>(nc)];
@@ -478,28 +530,15 @@ VertexId Triangulation::insert(VertexId vid, CellId hint, CellId* last_created) 
     for (std::int32_t k = 0; k < 3; ++k) {
       const VertexId u = t.v[static_cast<std::size_t>((k + 1) % 3)];
       const VertexId w = t.v[static_cast<std::size_t>((k + 2) % 3)];
-      edges.push_back({edge_key(u, w), nc, k});
+      pair_edge(edge_key(u, w), nc, k);
     }
     for (int s = 0; s < 4; ++s)
       if (t.v[s] != kInfinite)
         incident_cell_[static_cast<std::size_t>(t.v[s])] = nc;
   }
-  std::sort(edges.begin(), edges.end(),
-            [](const CavityEdge& x, const CavityEdge& y) {
-              if (x.key != y.key) return x.key < y.key;
-              if (x.cell != y.cell) return x.cell < y.cell;
-              return x.slot < y.slot;
-            });
-  DTFE_CHECK_MSG((edges.size() & 1) == 0, "cavity boundary was not watertight");
-  for (std::size_t e = 0; e < edges.size(); e += 2) {
-    const CavityEdge& x = edges[e];
-    const CavityEdge& y = edges[e + 1];
-    DTFE_CHECK_MSG(x.key == y.key, "cavity boundary was not watertight");
-    cells_[static_cast<std::size_t>(x.cell)].n[x.slot] = y.cell;
-    cells_[static_cast<std::size_t>(y.cell)].n[y.slot] = x.cell;
-  }
+  DTFE_CHECK_MSG(open_edges == 0, "cavity boundary was not watertight");
 
-  for (const CellId cid : visited) cell_mark_[static_cast<std::size_t>(cid)] = 0;
+  for (const CellId cid : visited_) cell_mark_[static_cast<std::size_t>(cid)] = 0;
   hint_cell_ = first_new;
   if (last_created) *last_created = first_new;
 
@@ -508,9 +547,10 @@ VertexId Triangulation::insert(VertexId vid, CellId hint, CellId* last_created) 
       static_cast<std::size_t>(free_list_.capacity() != cap_free) +
       static_cast<std::size_t>(cell_mark_.capacity() != cap_mark) +
       static_cast<std::size_t>(conflict_cells_.capacity() != cap_conflict) +
-      static_cast<std::size_t>(visited.capacity() != cap_visited) +
-      static_cast<std::size_t>(boundary.capacity() != cap_boundary) +
-      static_cast<std::size_t>(edges.capacity() != cap_edges);
+      static_cast<std::size_t>(visited_.capacity() != cap_visited) +
+      static_cast<std::size_t>(boundary_.capacity() != cap_boundary) +
+      static_cast<std::size_t>(cavity_edges_.capacity() != cap_edges) +
+      static_cast<std::size_t>(edge_slots_.capacity() != cap_slots);
   return vid;
 }
 

@@ -14,9 +14,11 @@
 //    hull (by the "replace infinity by a far outside point" convention every
 //    cell, finite or not, is combinatorially positively oriented).
 //
-// Point location is a remembering stochastic walk (paper §III-C-1); insertion
-// order is Morton/BRIO spatially sorted by the builder for near-linear total
-// walk cost.
+// Point location is a remembering stochastic walk (paper §III-C-1). The
+// constructor inserts in BRIO order (Amenta–Choi–Rote, as CGAL's spatial_sort):
+// geometric random rounds, each Morton-sorted, so every round refines a
+// random sample of the whole set — cavities stay at the random-order size
+// while the walks stay short.
 #pragma once
 
 #include <array>
@@ -34,12 +36,8 @@ using VertexId = std::int32_t;
 using CellId = std::int32_t;
 
 struct TriangulationOptions {
-  bool spatial_sort = true;  ///< Morton-order the insertion sequence
+  bool spatial_sort = true;  ///< BRIO-order the insertion sequence (else input order)
   bool verify = false;       ///< run full validation after build (tests)
-  /// Reuse the insertion scratch buffers (conflict-BFS queue, visited list,
-  /// boundary-facet list, cavity-edge list) across insertions. Off restores
-  /// the allocate-per-insert behavior for A/B runs in bench/micro_delaunay.
-  bool reuse_insert_scratch = true;
   /// Cooperative cancellation (borrowed; may be null = never cancel). The
   /// incremental insertion loop polls it and throws dtfe::Error on expiry.
   const Deadline* deadline = nullptr;
@@ -82,10 +80,10 @@ class Triangulation {
            t.v[3] == kInfinite;
   }
   std::size_t cell_storage_size() const { return cells_.size(); }
-  /// Container-growth events (capacity changes of the cell store and the
-  /// insertion scratch buffers) observed while inserting points. Divided by
-  /// the number of inserts this is the allocations-per-insert figure that
-  /// bench/micro_delaunay reports for the scratch-reuse A/B.
+  /// Container-growth events (capacity changes of the cell store, the
+  /// insertion scratch buffers and the cavity-edge map) observed while
+  /// inserting points. Divided by the number of inserts this is the
+  /// allocations-per-insert figure that bench/micro_delaunay reports.
   std::size_t alloc_events() const { return alloc_events_; }
 
   /// Slot (0..3) of vertex `v` in cell `c`; -1 if absent.
@@ -178,7 +176,8 @@ class Triangulation {
     CellId outside;    // surviving neighbor
     int outside_slot;  // slot in `outside` that pointed at the dead cell
   };
-  /// Open cavity edge awaiting its partner during retriangulation.
+  /// Open cavity edge awaiting its partner during retriangulation (an entry
+  /// of the cavity-edge map; see insert()).
   struct CavityEdge {
     std::uint64_t key;  // unordered vertex pair
     CellId cell;
@@ -200,14 +199,14 @@ class Triangulation {
   std::size_t cells_allocated_ = 0;  ///< new_cell() calls, incl. slot reuse
   std::size_t num_unique_ = 0;
   std::size_t alloc_events_ = 0;  ///< container growth during insertion
-  bool reuse_insert_scratch_ = true;
 
   // scratch buffers reused across insertions
   mutable std::vector<CellId> conflict_cells_;
   mutable std::vector<std::int8_t> cell_mark_;  // 0 unknown, 1 conflict, 2 boundary-safe
   std::vector<CellId> visited_;          // every marked id, for cleanup
   std::vector<BoundaryFacet> boundary_;  // cavity surface of the current insert
-  std::vector<CavityEdge> cavity_edges_;  // open edges during retriangulation
+  std::vector<CavityEdge> cavity_edges_;  // first occurrences of cavity edges
+  std::vector<std::int32_t> edge_slots_;  // open-addressed map into cavity_edges_
   mutable std::uint64_t walk_rng_ = 0x9e3779b97f4a7c15ull;
   mutable CellId hint_cell_ = kNoCell;
 };

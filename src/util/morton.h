@@ -1,6 +1,6 @@
-// 3D Morton (Z-order) codes, used for BRIO-style spatially coherent
-// insertion ordering in the Delaunay builder and for cache-friendly particle
-// ordering in the generators.
+// 3D Morton (Z-order) codes, used to order points along the curve within each
+// BRIO round of the Delaunay triangulation's insertion order and for
+// cache-friendly particle ordering in the generators.
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
+#include "dtfe/density.h"
 #include "geometry/predicates.h"
 #include "geometry/tetra_math.h"
 #include "util/error.h"
@@ -243,6 +249,173 @@ TEST(Triangulation, CosphericalShellPoints) {
   pts.push_back({0, 0, 0});
   Triangulation tri(pts);
   tri.validate(/*check_delaunay=*/true);
+}
+
+// --- insertion-order invariance ---------------------------------------------
+//
+// The symbolic perturbation ranks points by position, not by insertion, so
+// the Delaunay tessellation of a point set is unique even where it is
+// cospherical: BRIO order, input order and any permutation of the input must
+// give the same cells. Cells are compared by the coordinates of their
+// vertices, so input indices (which a shuffle changes) do not enter.
+
+using CellQuad = std::array<std::tuple<double, double, double>, 4>;
+
+std::vector<CellQuad> finite_cell_set(const Triangulation& tri) {
+  std::vector<CellQuad> out;
+  for (const CellId c : tri.finite_cells()) {
+    CellQuad q;
+    const auto p = tri.cell_points(c);
+    for (std::size_t s = 0; s < 4; ++s) q[s] = {p[s].x, p[s].y, p[s].z};
+    std::sort(q.begin(), q.end());
+    out.push_back(q);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void expect_order_invariant(const std::vector<Vec3>& pts, std::uint64_t seed) {
+  const Triangulation brio(pts);
+  brio.validate(/*check_delaunay=*/false);
+  Triangulation::Options input_order;
+  input_order.spatial_sort = false;
+  const Triangulation plain(pts, input_order);
+
+  std::vector<Vec3> shuffled = pts;
+  Rng rng(seed);
+  for (std::size_t i = shuffled.size(); i > 1; --i)
+    std::swap(shuffled[i - 1], shuffled[rng.uniform_index(i)]);
+  const Triangulation perm(shuffled);
+
+  const auto want = finite_cell_set(brio);
+  EXPECT_EQ(brio.num_unique_vertices(), plain.num_unique_vertices());
+  EXPECT_EQ(brio.num_unique_vertices(), perm.num_unique_vertices());
+  EXPECT_EQ(finite_cell_set(plain), want) << "input order changed the cells";
+  EXPECT_EQ(finite_cell_set(perm), want) << "a shuffle changed the cells";
+}
+
+TEST(Triangulation, CellsInvariantUnderInsertionOrderUniform) {
+  expect_order_invariant(random_points(3000, 41), 1);
+}
+
+TEST(Triangulation, CellsInvariantUnderInsertionOrderClustered) {
+  Rng rng(43);
+  std::vector<Vec3> pts;
+  for (int h = 0; h < 6; ++h) {
+    const Vec3 c{rng.uniform(), rng.uniform(), rng.uniform()};
+    const double r = 0.005 * (h + 1);
+    for (int i = 0; i < 400; ++i)
+      pts.push_back({c.x + r * rng.normal(), c.y + r * rng.normal(),
+                     c.z + r * rng.normal()});
+  }
+  for (int i = 0; i < 600; ++i)
+    pts.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
+  expect_order_invariant(pts, 2);
+}
+
+TEST(Triangulation, CellsInvariantUnderInsertionOrderLatticeWithDuplicates) {
+  // An exact integer lattice is cospherical everywhere (every unit cube's 8
+  // corners share a sphere), so only the symbolic perturbation decides the
+  // cells; duplicates re-enter far from their first copy in index order.
+  std::vector<Vec3> pts;
+  for (int x = 0; x < 10; ++x)
+    for (int y = 0; y < 10; ++y)
+      for (int z = 0; z < 10; ++z) pts.push_back({double(x), double(y), double(z)});
+  Rng rng(47);
+  const std::size_t lattice = pts.size();
+  for (int i = 0; i < 150; ++i) pts.push_back(pts[rng.uniform_index(lattice)]);
+  expect_order_invariant(pts, 3);
+}
+
+TEST(Triangulation, DuplicateMapsToLowestCoincidentIndex) {
+  // Every coincident group, whatever its size and wherever its copies sit in
+  // the input, must map to its lowest index under BRIO and input order
+  // alike. Copies written with -0.0 for +0.0 compare equal, so they must be
+  // grouped too.
+  Rng rng(53);
+  std::vector<Vec3> unique = random_points(500, 59);
+  for (std::size_t i = 0; i < 40; ++i) {
+    // Points on the coordinate planes, for the signed-zero copies below.
+    if (i % 3 == 0) unique[i].x = 0.0;
+    if (i % 3 == 1) unique[i].y = 0.0;
+    if (i % 3 == 2) unique[i].z = 0.0;
+  }
+  std::vector<Vec3> pts;
+  for (const Vec3& p : unique) {
+    const int copies = 1 + static_cast<int>(rng.uniform_index(4));
+    for (int k = 0; k < copies; ++k) {
+      Vec3 q = p;
+      if (k % 2 == 1) {
+        if (q.x == 0.0) q.x = -0.0;
+        if (q.y == 0.0) q.y = -0.0;
+        if (q.z == 0.0) q.z = -0.0;
+      }
+      pts.push_back(q);
+    }
+  }
+  for (std::size_t i = pts.size(); i > 1; --i)
+    std::swap(pts[i - 1], pts[rng.uniform_index(i)]);
+
+  // Expected representative: the first index holding each position (-0.0
+  // folded onto +0.0 so the map key compares as the predicates do).
+  std::map<std::tuple<double, double, double>, VertexId> first;
+  std::vector<VertexId> want(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const auto key = std::make_tuple(pts[i].x + 0.0, pts[i].y + 0.0, pts[i].z + 0.0);
+    const auto it = first.emplace(key, static_cast<VertexId>(i)).first;
+    want[i] = it->second;
+  }
+  ASSERT_EQ(first.size(), unique.size());
+
+  for (const bool spatial : {true, false}) {
+    Triangulation::Options opt;
+    opt.spatial_sort = spatial;
+    const Triangulation tri(pts, opt);
+    EXPECT_EQ(tri.num_unique_vertices(), unique.size());
+    for (std::size_t i = 0; i < pts.size(); ++i)
+      ASSERT_EQ(tri.duplicate_of(static_cast<VertexId>(i)), want[i])
+          << "index " << i << (spatial ? " (BRIO)" : " (input order)");
+  }
+}
+
+std::uint64_t ulp_distance(double a, double b) {
+  // Both positive and finite here, so the bit patterns order like the values.
+  const auto ia = std::bit_cast<std::uint64_t>(a);
+  const auto ib = std::bit_cast<std::uint64_t>(b);
+  return ia > ib ? ia - ib : ib - ia;
+}
+
+TEST(Triangulation, VertexDensitiesAgreeAcrossInsertionOrder) {
+  // The cells are the same under any order (tests above), but their storage
+  // order and the rotation of their vertex lists are not, so each vertex's
+  // Σ of incident volumes adds the same terms in another order, each term
+  // rounded from another vertex order. That moves a density by a few ulps;
+  // the stated bound is 16 ulps (this input shows 6). A cell that differed
+  // would move its vertices' densities by far more.
+  Rng rng(61);
+  std::vector<Vec3> pts;
+  for (int i = 0; i < 2000; ++i)
+    pts.push_back({0.5 + 0.05 * rng.normal(), 0.5 + 0.05 * rng.normal(),
+                   0.5 + 0.05 * rng.normal()});
+  for (int i = 0; i < 1000; ++i)
+    pts.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
+
+  const Triangulation brio(pts);
+  Triangulation::Options input_order;
+  input_order.spatial_sort = false;
+  const Triangulation plain(pts, input_order);
+  const DensityField a(brio, 1.0);
+  const DensityField b(plain, 1.0);
+
+  std::uint64_t worst = 0;
+  for (std::size_t v = 0; v < pts.size(); ++v) {
+    const double ra = a.vertex_density(static_cast<VertexId>(v));
+    const double rb = b.vertex_density(static_cast<VertexId>(v));
+    ASSERT_GT(ra, 0.0);
+    ASSERT_GT(rb, 0.0);
+    worst = std::max(worst, ulp_distance(ra, rb));
+  }
+  EXPECT_LE(worst, 16u);
 }
 
 }  // namespace
