@@ -4,7 +4,9 @@
 // vertical-crossing-test A/B (AoS vs SoA coefficient tables).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -94,11 +96,13 @@ void BM_ZeroOrderRender(benchmark::State& state) {
 BENCHMARK(BM_ZeroOrderRender)->Unit(benchmark::kMillisecond);
 
 // ---- vertical crossing test A/B ------------------------------------------
-// The marching hot loop is one crossing test per tetra step. These benches
-// classify the SAME crossings two ways: the pre-table AoS geometry test
+// The marching hot loop is one crossing test per tetra step. This bench
+// classifies the SAME crossings two ways: the pre-table AoS geometry test
 // (the old production path, kept as oracle) and the SoA coefficient form
-// the march runs. items == crossing tests, so the items_per_second ratio is
-// the speedup run_bench records.
+// the march runs. Both forms are timed in one process, one pass each per
+// iteration, and the order flips every iteration, so a host speed swing
+// lands on both halves of a pair alike. run_bench gates the median of the
+// per-pair AoS/coefficient time ratios (counter speedup_median).
 struct CrossingFixture {
   std::vector<std::array<Vec3, 4>> tets;
   std::vector<VerticalTetraCoef> coef;
@@ -137,38 +141,64 @@ const CrossingFixture& crossing_fixture() {
   return *fx;
 }
 
-void BM_VerticalCrossingAos(benchmark::State& state) {
+// One pass per form over the whole fixture. Kept out of line so each pass
+// compiles to the same loop it would in a bench of its own.
+[[gnu::noinline]] double aos_pass() {
   const auto& fx = crossing_fixture();
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < fx.tets.size(); ++i) {
-      const VerticalExit ve =
-          line_tetra_vertical_exit(fx.xi[i], fx.tets[i], fx.entry[i]);
-      acc += ve.z_exit;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fx.tets.size()));
+  double acc = 0.0;
+  for (std::size_t i = 0; i < fx.tets.size(); ++i)
+    acc += line_tetra_vertical_exit(fx.xi[i], fx.tets[i], fx.entry[i]).z_exit;
+  return acc;
 }
-BENCHMARK(BM_VerticalCrossingAos);
 
-void BM_VerticalCrossingCoef(benchmark::State& state) {
+[[gnu::noinline]] double coef_pass() {
   const auto& fx = crossing_fixture();
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < fx.coef.size(); ++i) {
-      double s[6];
-      coef_edge_products(fx.coef[i], fx.xi[i], s);
-      const VerticalExit ve = coef_vertical_exit(fx.coef[i], s, fx.entry[i]);
-      acc += ve.z_exit;
-    }
-    benchmark::DoNotOptimize(acc);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < fx.coef.size(); ++i) {
+    double s[6];
+    coef_edge_products(fx.coef[i], fx.xi[i], s);
+    acc += coef_vertical_exit(fx.coef[i], s, fx.entry[i]).z_exit;
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fx.coef.size()));
+  return acc;
 }
-BENCHMARK(BM_VerticalCrossingCoef);
+
+/// Wall seconds of one pass.
+double time_pass(double (*pass)()) {
+  const auto t0 = std::chrono::steady_clock::now();
+  double acc = pass();
+  benchmark::DoNotOptimize(acc);
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+void BM_VerticalCrossingPairs(benchmark::State& state) {
+  std::vector<double> ratios;
+  double aos_s = 0.0, coef_s = 0.0;
+  for (auto _ : state) {
+    double aos, coef;
+    if (ratios.size() % 2 == 0) {
+      aos = time_pass(aos_pass);
+      coef = time_pass(coef_pass);
+    } else {
+      coef = time_pass(coef_pass);
+      aos = time_pass(aos_pass);
+    }
+    aos_s += aos;
+    coef_s += coef;
+    ratios.push_back(aos / coef);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t n = ratios.size();
+  const double median =
+      n % 2 ? ratios[n / 2] : 0.5 * (ratios[n / 2 - 1] + ratios[n / 2]);
+  const double crossings = static_cast<double>(state.iterations()) *
+                           static_cast<double>(crossing_fixture().tets.size());
+  state.counters["aos_per_s"] = crossings / aos_s;
+  state.counters["coef_per_s"] = crossings / coef_s;
+  state.counters["speedup_median"] = median;
+  state.counters["pairs"] = static_cast<double>(n);
+}
+BENCHMARK(BM_VerticalCrossingPairs);
 
 void BM_IntegrateSingleLine(benchmark::State& state) {
   const auto& recon = shared_recon();

@@ -5,7 +5,7 @@
 #   1. configure + build the default tree and run the full tier-1 ctest suite;
 #   2. perf-smoke: run scripts/run_bench.sh --smoke, validate the
 #      BENCH_kernel.json schema (including the coef_vs_aos crossing A/B
-#      and its >=1.3x floor on the coefficient form, and an absolute bound
+#      and its >=1.3x floor on the median pair ratio, and an absolute bound
 #      on Delaunay allocations per insert), pin the machine-independent op
 #      counters (dtfe.delaunay.walk_steps, dtfe.kernel.tetra_crossings)
 #      against bench/perf_reference.json — a perf change that alters the
@@ -14,7 +14,7 @@
 #      its upper bound there;
 #   3. rebuild under ThreadSanitizer (DTFE_SANITIZE=thread) and run the
 #      concurrency-sensitive suites — the fault-injection, durable-execution,
-#      and overlapped-executor labels — against that build;
+#      and engine labels — against that build;
 #   4. rebuild under UBSan (DTFE_SANITIZE=undefined) and run the geometry,
 #      triangulation, march-table, FOF cell-key, result-codec, durable and
 #      engine suites against that build.
@@ -69,28 +69,19 @@ with open("bench/perf_reference.json") as f:
 for key in ("schema", "mode", "host", "micro_delaunay", "micro_kernels",
             "coef_vs_aos", "pipeline"):
     assert key in doc, f"BENCH_kernel.json missing top-level key {key!r}"
-assert doc["schema"] == "pdtfe-bench-v2", doc["schema"]
+assert doc["schema"] == "pdtfe-bench-v3", doc["schema"]
 for key in ("inserts_per_sec", "allocs_per_insert"):
     assert key in doc["micro_delaunay"], f"micro_delaunay missing {key!r}"
 for key in ("crossings_per_sec_aos_scalar", "crossings_per_sec_coef_scalar",
-            "speedup_coef_vs_aos"):
+            "speedup_coef_vs_aos", "pairs"):
     assert key in doc["coef_vs_aos"], f"coef_vs_aos missing {key!r}"
-for key in ("serial_wall_s", "overlap_wall_s", "speedup",
-            "overlap_expected_win", "checksums_equal",
-            "op_counters", "conflict_cells_per_insert",
-            "cells_created_per_insert", "crossings_per_sec_serial",
-            "crossings_per_sec_overlap"):
+for key in ("wall_s", "checksum", "op_counters", "conflict_cells_per_insert",
+            "cells_created_per_insert"):
     assert key in doc["pipeline"], f"pipeline missing {key!r}"
-assert doc["pipeline"]["checksums_equal"] is True, \
-    "overlapped pipeline checksum differs from serial"
-# The e2e overlap speedup is only a meaningful assertion with real
-# parallelism; on a single core the tag documents the expected ~1.0x.
-if doc["pipeline"]["overlap_expected_win"]:
-    assert doc["pipeline"]["speedup"] > 0.9, \
-        f"overlap regressed serial on a multi-core host: {doc['pipeline']}"
 
 # The SoA coefficient crossing test must beat the pre-table AoS path
-# outright.
+# outright: the median of the per-pair ratios, both forms timed in
+# alternating passes in one process, so host speed swings cancel.
 assert doc["coef_vs_aos"]["speedup_coef_vs_aos"] >= 1.3, \
     f"coefficient crossing speedup below 1.3x: {doc['coef_vs_aos']}"
 
@@ -130,9 +121,9 @@ cmake --build build-thread -j"$JOBS"
 
 echo "== tsan: fault + durable + engine labels"
 # TSAN_OPTIONS: fail the job on any report; second_deadlock_stack aids triage.
-# The engine label carries the overlapped-executor determinism tests, so this
-# is also the data-race gate for the --compute-ahead pipeline. libgomp's
-# uninstrumented barriers need scripts/tsan.supp (see its header).
+# The engine label carries the thread-budget determinism tests, so this is
+# also the data-race gate for the rank threads. libgomp's uninstrumented
+# barriers need scripts/tsan.supp (see its header).
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 suppressions=$PWD/scripts/tsan.supp" \
     ctest --test-dir build-thread --output-on-failure -L 'fault|durable|engine'
 
@@ -153,7 +144,7 @@ echo "== ubsan: geometry/delaunay/kernel/nbody/codec/durable/engine suites"
 # adversarial placements; transport_test round-trips the result codec,
 # including empty vectors. The targeted binaries run directly (ctest
 # registers per-CASE names, not binary names); the engine label covers
-# engine_test + executor_test.
+# engine_test + threads_test.
 for t in march_tables_test ray_tetra_test kernels_test predicates_test \
          triangulation_test nbody_test transport_test durable_test; do
   "build-ubsan/tests/$t"

@@ -275,6 +275,10 @@ CellId Triangulation::new_cell() {
   } else {
     c = static_cast<CellId>(cells_.size());
     cells_.push_back({});
+    // The conflict marks cover every slot the cell store has room for, so
+    // they grow only when the store itself reallocates.
+    if (cell_mark_.size() < cells_.capacity())
+      cell_mark_.resize(cells_.capacity(), 0);
   }
   Cell& t = cells_[static_cast<std::size_t>(c)];
   t.v = {kInfinite, kInfinite, kInfinite, kInfinite};
@@ -429,7 +433,6 @@ VertexId Triangulation::insert(VertexId vid, CellId hint, CellId* last_created) 
   const std::size_t cap_slots = edge_slots_.capacity();
 
   // --- grow the conflict region by BFS from the located cell ---------------
-  if (cell_mark_.size() < cells_.size() + 8) cell_mark_.resize(cells_.size() + 8, 0);
   conflict_cells_.clear();
 
   DTFE_DCHECK(cell_in_conflict(loc.cell, p));

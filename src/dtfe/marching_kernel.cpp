@@ -54,14 +54,6 @@ double radical_inverse(std::uint32_t i, std::uint32_t base) {
   }
   return r;
 }
-/// Per-ray RNG state: splitmix of (stream seed, ray index). Independent of
-/// which thread draws the ray, so renders are bitwise reproducible under any
-/// OpenMP schedule — the property checkpoint resume relies on.
-std::uint64_t ray_seed(std::uint64_t seed, std::uint64_t ray_index) {
-  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ull * (ray_index + 1));
-  const std::uint64_t v = detail::splitmix64(state);
-  return v ? v : 0x9e3779b97f4a7c15ull;
-}
 }  // namespace
 
 MarchingKernel::MarchingKernel(const DensityField& density,
@@ -375,7 +367,7 @@ double MarchingKernel::refine_cell(const Vec2& center, double size,
 
 double MarchingKernel::integrate_line(const Vec2& xi, double zmin,
                                       double zmax) const {
-  std::uint64_t rng = ray_seed(opt_.seed, 0);
+  std::uint64_t rng = task_seed(opt_.seed, 0);
   return march_line(xi, zmin, zmax, rng).sigma;
 }
 
@@ -435,7 +427,7 @@ Grid2D MarchingKernel::render(const FieldSpec& spec) const {
       const auto iy = static_cast<std::size_t>(idx) / nx;
       // Per-ray RNG: a pure function of (stream seed, cell index) so the
       // rendered grid does not depend on the OpenMP schedule.
-      std::uint64_t rng = ray_seed(opt_.seed, static_cast<std::uint64_t>(idx));
+      std::uint64_t rng = task_seed(opt_.seed, static_cast<std::uint64_t>(idx));
       if (opt_.adaptive_max_depth > 0) {
         // Dynamic grid spacing: quadtree-refine cells whose corner lines
         // disagree.

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace dtfe {
@@ -125,7 +126,7 @@ VertexId TessKernel::nearest_site(const Vec3& q, CellId location_hint,
     }
     ++steps;
   }
-  stats_.hillclimb_steps += steps;  // benign race under OpenMP; stats only
+  scratch.hillclimb_steps += steps;
   return best;
 }
 
@@ -134,7 +135,6 @@ Grid2D TessKernel::render(const FieldSpec& spec) const {
                  "tess kernel needs finite z bounds for its 3D grid");
   if (adj_.empty())
     const_cast<TessKernel*>(this)->build_adjacency();
-  const Triangulation& tri = density_->triangulation();
   const std::size_t nx = spec.nx(), ny = spec.ny();
   const std::size_t nz = opt_.z_resolution ? opt_.z_resolution : nx;
   const double dz = (spec.zmax - spec.zmin) / static_cast<double>(nz);
@@ -143,14 +143,13 @@ Grid2D TessKernel::render(const FieldSpec& spec) const {
   TessStats stats;
   stats.thread_seconds.assign(
       static_cast<std::size_t>(omp_get_max_threads()), 0.0);
-  std::uint64_t located = 0;
+  std::uint64_t located = 0, climbed = 0;
   std::atomic<bool> cancelled{false};
 
-#pragma omp parallel reduction(+ : located)
+#pragma omp parallel reduction(+ : located, climbed)
   {
     const auto tid = static_cast<std::size_t>(omp_get_thread_num());
     ThreadCpuTimer timer;
-    std::uint64_t rng = (opt_.seed | 1) * (tid + 1) * 0x9e3779b97f4a7c15ull;
     SearchScratch scratch;
 
 #pragma omp for schedule(dynamic, 8)
@@ -165,6 +164,8 @@ Grid2D TessKernel::render(const FieldSpec& spec) const {
       }
       const auto ix = static_cast<std::size_t>(idx) % nx;
       const auto iy = static_cast<std::size_t>(idx) / nx;
+      // Per-column RNG, independent of the OpenMP team and schedule.
+      std::uint64_t rng = task_seed(opt_.seed, static_cast<std::uint64_t>(idx));
       const Vec2 xi = spec.cell_center(ix, iy);
       double sigma = 0.0;
       VertexId site = Triangulation::kInfinite;
@@ -183,12 +184,13 @@ Grid2D TessKernel::render(const FieldSpec& spec) const {
       }
       grid.at(ix, iy) = sigma;
     }
+    climbed += scratch.hillclimb_steps;
     stats.thread_seconds[tid] = timer.seconds();
   }
 
   stats.points_located = located;
-  stats_.thread_seconds = stats.thread_seconds;
-  stats_.points_located = located;
+  stats.hillclimb_steps = climbed;
+  stats_ = stats;
   if (cancelled.load(std::memory_order_relaxed))
     throw Error("tess render cancelled: item deadline exceeded");
   return grid;

@@ -36,7 +36,7 @@ struct TessOptions {
 
 struct TessStats {
   std::uint64_t points_located = 0;
-  std::uint64_t hillclimb_steps = 0;
+  std::uint64_t hillclimb_steps = 0;  ///< greedy-descent steps, last render
   std::vector<double> thread_seconds;
 };
 
@@ -49,10 +49,12 @@ class TessKernel {
   Grid2D render(const FieldSpec& spec) const;
 
   /// Scratch buffers for nearest_site (one per thread; avoids per-query
-  /// allocations in the render loop).
+  /// allocations in the render loop), plus the thread's hill-climb step
+  /// count, which render() sums into TessStats once.
   struct SearchScratch {
     std::vector<VertexId> neighbors;
     std::vector<CellId> cells;
+    std::uint64_t hillclimb_steps = 0;
   };
 
   /// Exact nearest input site to q via Delaunay hill climbing, starting from

@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace dtfe {
@@ -60,9 +61,11 @@ Grid2D WalkingKernel::render(const FieldSpec& spec) const {
   {
     const auto tid = static_cast<std::size_t>(omp_get_thread_num());
     ThreadCpuTimer timer;
-    std::uint64_t rng = (opt_.seed | 1) * (tid + 1) * 0x2545f4914f6cdd1dull;
 
     auto render_column = [&](std::size_t ix, std::size_t iy) {
+      // Per-column RNG: a pure function of (seed, column index), so the
+      // jitter and the walks do not depend on the OpenMP team or schedule.
+      std::uint64_t rng = task_seed(opt_.seed, iy * nx + ix);
       const Vec2 xi = spec.cell_center(ix, iy);
       // Walk up the z-column locating each 3D representative point with the
       // previous cell as the hint — the incremental scheme the paper
@@ -133,24 +136,21 @@ Grid3D WalkingKernel::render_3d(const FieldSpec& spec) const {
   const double dz = (spec.zmax - spec.zmin) / static_cast<double>(nz);
 
   Grid3D grid(nx, ny, nz);
-#pragma omp parallel
-  {
-    std::uint64_t rng = (opt_.seed | 1) * 0x9e3779b97f4a7c15ull;
-#pragma omp for schedule(dynamic, 4)
-    for (std::ptrdiff_t idx = 0;
-         idx < static_cast<std::ptrdiff_t>(nx * ny); ++idx) {
-      const auto ix = static_cast<std::size_t>(idx) % nx;
-      const auto iy = static_cast<std::size_t>(idx) / nx;
-      const Vec2 xi = spec.cell_center(ix, iy);
-      CellId hint = Triangulation::kNoCell;
-      for (std::size_t iz = 0; iz < nz; ++iz) {
-        const Vec3 q{xi.x, xi.y,
-                     spec.zmin + (static_cast<double>(iz) + 0.5) * dz};
-        const auto loc = tri.locate_from(q, hint, rng);
-        hint = loc.cell;
-        if (loc.status != Triangulation::LocateStatus::kOutsideHull)
-          grid.at(ix, iy, iz) = density_->interpolate_in_cell(loc.cell, q);
-      }
+#pragma omp parallel for schedule(dynamic, 4)
+  for (std::ptrdiff_t idx = 0; idx < static_cast<std::ptrdiff_t>(nx * ny);
+       ++idx) {
+    const auto ix = static_cast<std::size_t>(idx) % nx;
+    const auto iy = static_cast<std::size_t>(idx) / nx;
+    std::uint64_t rng = task_seed(opt_.seed, static_cast<std::uint64_t>(idx));
+    const Vec2 xi = spec.cell_center(ix, iy);
+    CellId hint = Triangulation::kNoCell;
+    for (std::size_t iz = 0; iz < nz; ++iz) {
+      const Vec3 q{xi.x, xi.y,
+                   spec.zmin + (static_cast<double>(iz) + 0.5) * dz};
+      const auto loc = tri.locate_from(q, hint, rng);
+      hint = loc.cell;
+      if (loc.status != Triangulation::LocateStatus::kOutsideHull)
+        grid.at(ix, iy, iz) = density_->interpolate_in_cell(loc.cell, q);
     }
   }
   return grid;

@@ -66,9 +66,6 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
         std::string(field_kind_name(opt.field)) +
         " needs the march or walk kernel");
 
-  // Intra-rank compute pipeline (engine/executor.h).
-  opt.compute_ahead = static_cast<int>(args.get("compute-ahead", 0L));
-  if (opt.compute_ahead < 0) throw Error("--compute-ahead must be >= 0");
   opt.threads = static_cast<int>(args.get("threads", 0L));
   if (opt.threads < 0) throw Error("--threads must be >= 0");
 

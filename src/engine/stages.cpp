@@ -1,5 +1,7 @@
 #include "engine/stages.h"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -8,7 +10,6 @@
 #include <span>
 #include <string>
 
-#include "engine/executor.h"
 #include "engine/field_kernel.h"
 #include "engine/phases.h"
 #include "framework/crash.h"
@@ -181,31 +182,30 @@ bool lex_less(const Vec3& a, const Vec3& b) {
 
 }  // namespace
 
-PreparedItem prepare_item(const EngineState& state,
-                          std::vector<Vec3> cube_particles, double mass,
-                          const Vec3& center, const PipelineOptions& opt,
-                          const Deadline* deadline) {
-  PreparedItem p;
-  ItemRecord& record = p.record;
+FieldGrid compute_item(const EngineState& state,
+                       std::vector<Vec3> cube_particles, double mass,
+                       const Vec3& center, const PipelineOptions& opt,
+                       ItemRecord& record, const Deadline* deadline) {
+  // Callers pre-set only the path flags (fallback/recovered); the rest of
+  // the record describes this computation.
+  ItemRecord fresh;
+  fresh.fallback = record.fallback;
+  fresh.recovered = record.recovered;
+  record = std::move(fresh);
   record.center = center;
   record.n_particles = static_cast<double>(cube_particles.size());
-  auto contain = [&](const char* reason) {
+  auto contain = [&](const std::string& reason) {
     record.failed = true;
     record.fail_reason = reason;
+    record.cancelled = reason.find("deadline exceeded") != std::string::npos;
     if (obs::metrics_enabled()) obs::add(state.metrics->items_failed);
-    p.grid = FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
-    p.done = true;
+    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
   };
   for (const Vec3& q : cube_particles)
-    if (!finite3(q)) {
-      contain("non-finite particle position in cube");
-      return p;
-    }
+    if (!finite3(q)) return contain("non-finite particle position in cube");
   if (cube_particles.size() < opt.min_particles) {
     // An (almost) empty region is an expected zero field, not a failure.
-    p.grid = FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
-    p.done = true;
-    return p;
+    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
   }
   // Canonical input order: the owner-gathered, shipped, re-fetched, and
   // re-read cubes hold the same particle SET in different orders; sorting
@@ -213,41 +213,19 @@ PreparedItem prepare_item(const EngineState& state,
   // identical across all of them.
   std::sort(cube_particles.begin(), cube_particles.end(), lex_less);
   ThreadCpuTimer t;
+  std::optional<FieldCube> cube;
   try {
     TriangulationOptions topt;
     topt.deadline = deadline;
-    p.cube.emplace(std::move(cube_particles), mass, topt);
-    record.actual_tri = p.cube->triangulate_seconds();
+    cube.emplace(std::move(cube_particles), mass, topt);
+    record.actual_tri = cube->triangulate_seconds();
   } catch (const Error& e) {
     // Degenerate cube (e.g. all points coplanar) or a watchdog
     // cancellation: contained as an empty field, as a production code must
     // tolerate pathological requests.
     record.actual_tri = t.seconds();
-    record.failed = true;
-    record.fail_reason = e.what();
-    record.cancelled =
-        record.fail_reason.find("deadline exceeded") != std::string::npos;
-    if (obs::metrics_enabled()) obs::add(state.metrics->items_failed);
-    p.grid = FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
-    p.done = true;
+    return contain(e.what());
   }
-  p.prep_cpu = t.seconds();
-  return p;
-}
-
-FieldGrid render_prepared(const EngineState& state, PreparedItem& p,
-                          const PipelineOptions& opt,
-                          const Deadline* deadline) {
-  if (p.done) return std::move(p.grid);
-  ItemRecord& record = p.record;
-  const Vec3 center = record.center;
-  auto contain = [&](const char* reason) {
-    record.failed = true;
-    record.fail_reason = reason;
-    if (obs::metrics_enabled()) obs::add(state.metrics->items_failed);
-    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
-  };
-  ThreadCpuTimer t;
   FieldGrid grid;
   AuditResult audit;
   RenderRequest request;
@@ -263,13 +241,11 @@ FieldGrid render_prepared(const EngineState& state, PreparedItem& p,
     const std::unique_ptr<FieldKernel> kernel =
         state.kernels->create(opt.kernel);
     KernelStats stats;
-    grid = kernel->render(*p.cube, request, deadline, stats);
+    grid = kernel->render(*cube, request, deadline, stats);
     // Density/hull construction rides inside the cube build, so it lands in
-    // the interpolation share, exactly as the pre-engine accounting did
-    // (prepare CPU minus the triangulation share, plus the render itself —
-    // valid across threads because both timers are per-thread CPU clocks
-    // over their own work).
-    record.actual_interp = (p.prep_cpu - record.actual_tri) + t.seconds();
+    // the interpolation share: everything since the timer started except
+    // the triangulation itself.
+    record.actual_interp = t.seconds() - record.actual_tri;
     record.kernel_failed_cells = static_cast<double>(stats.failed_cells);
     record.kernel_perturb_restarts =
         static_cast<double>(stats.perturb_restarts);
@@ -278,21 +254,15 @@ FieldGrid render_prepared(const EngineState& state, PreparedItem& p,
       std::uint64_t aseed = request.seed;
       aopt.seed = detail::splitmix64(aseed);  // same cells on replay
       audit = audit_field_item(grid, request.spec, stats.ray_mass,
-                               &p.cube->density(), &p.cube->hull(), aopt,
+                               &cube->density(), &cube->hull(), aopt,
                                request.model_seed);
       record.audit = audit.summary();
     }
   } catch (const Error& e) {
     // Unknown kernel or a watchdog cancellation inside the render: contained
-    // exactly as the monolithic compute_item did, with the whole elapsed
-    // CPU attributed to actual_tri.
-    record.actual_tri = p.prep_cpu + t.seconds();
-    record.failed = true;
-    record.fail_reason = e.what();
-    record.cancelled =
-        record.fail_reason.find("deadline exceeded") != std::string::npos;
-    if (obs::metrics_enabled()) obs::add(state.metrics->items_failed);
-    return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
+    // with the whole elapsed CPU attributed to actual_tri.
+    record.actual_tri = t.seconds();
+    return contain(e.what());
   }
   // Fatal audits escalate OUTSIDE the containment catch: a conservation
   // violation means the run's outputs cannot be trusted, so it aborts the
@@ -309,22 +279,6 @@ FieldGrid render_prepared(const EngineState& state, PreparedItem& p,
     for (const double v : grid.plane(c).values())
       if (!std::isfinite(v))
         return contain("non-finite value in rendered grid");
-  return grid;
-}
-
-FieldGrid compute_item(const EngineState& state,
-                       std::vector<Vec3> cube_particles, double mass,
-                       const Vec3& center, const PipelineOptions& opt,
-                       ItemRecord& record, const Deadline* deadline) {
-  PreparedItem p = prepare_item(state, std::move(cube_particles), mass, center,
-                                opt, deadline);
-  // Callers pre-set path flags (fallback/recover) on `record` before the
-  // call; carry them into the prepared record the same way the executor's
-  // commit path does.
-  p.record.fallback = record.fallback;
-  p.record.recovered = record.recovered;
-  FieldGrid grid = render_prepared(state, p, opt, deadline);
-  record = std::move(p.record);
   return grid;
 }
 
@@ -349,10 +303,12 @@ StageContext::StageContext(simmpi::Comm& comm_in, const PipelineOptions& opt_in,
       rng(opt_in.seed * 7919 + static_cast<std::uint64_t>(comm_in.rank())) {
   obs::TraceRecorder::set_thread_rank(me);
   obs::add(state.metrics->runs);
-  // Cap this rank thread's OpenMP team (and reserve the prepare pool's
-  // share) so P rank teams plus pool threads never oversubscribe; see
-  // engine/executor.h "Threading model".
-  prepare_workers = configure_rank_threading(opt, P).workers;
+  // Threading model (DESIGN.md §8): each rank thread runs its items one at a
+  // time and gives its kernels an OpenMP team of threads / P (per-thread
+  // ICV), so the P rank teams share --threads without oversubscribing.
+  const int threads = opt.threads > 0 ? opt.threads : omp_get_max_threads();
+  omp_set_num_threads(std::max(1, threads / P));
+  omp_set_max_active_levels(1);
 }
 
 Deadline StageContext::make_deadline(double pred_seconds) const {
@@ -426,35 +382,45 @@ void StageContext::record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
   if (opt.keep_grids) res.grids.push_back(std::move(grid));
 }
 
+void StageContext::run_item(std::vector<Vec3> cube, double count,
+                            const Vec3& center, std::ptrdiff_t request_index,
+                            ItemPath path) {
+  const char* label = phases::kInFlightLocal;
+  ItemRecord rec;
+  switch (path) {
+    case ItemPath::kLocal:
+      break;
+    case ItemPath::kReceived:
+      label = phases::kInFlightReceived;
+      break;
+    case ItemPath::kFallback:
+      label = phases::kInFlightFallback;
+      rec.fallback = true;
+      break;
+    case ItemPath::kRecovered:
+      label = phases::kInFlightRecover;
+      rec.recovered = true;
+      break;
+  }
+  // The watchdog is armed after the gather, so gathering is never under it.
+  const Deadline deadline = make_deadline(res.model.predict(count));
+  const ScopedCrashItem in_flight(me, request_index, label, state.crash);
+  FieldGrid grid = compute_item(state, std::move(cube), particle_mass, center,
+                                opt, rec, &deadline);
+  rec.request_index = request_index;
+  record_item(std::move(rec), std::move(grid), res.model.predict_tri(count),
+              res.model.predict_interp(count), path == ItemPath::kReceived);
+}
+
 void StageContext::execute_local(std::size_t idx_in_remaining) {
   const std::size_t i = remaining[idx_in_remaining];
-  ItemTask task;
-  // The gather runs on the preparing thread: GridIndex queries are const and
-  // local_particles is frozen after ExchangeStage, so concurrent look-ahead
-  // gathers are safe.
-  task.gather = [this, i] {
-    std::vector<std::uint32_t> ids;
-    index->gather_in_cube(my_requests[i], cube_side, ids);
-    std::vector<Vec3> cube;
-    cube.reserve(ids.size());
-    for (const auto id : ids) cube.push_back(local_particles[id]);
-    return cube;
-  };
-  task.center = my_requests[i];
-  task.request_index = my_request_ids[i];
-  task.pred_seconds = res.model.predict(item_counts[i]);
-  task.pred_tri = res.model.predict_tri(item_counts[i]);
-  task.pred_interp = res.model.predict_interp(item_counts[i]);
-  task.crash_phase = phases::kInFlightLocal;
-  if (exec) {
-    exec->submit(std::move(task));
-  } else {
-    // No stage-scoped executor (stage driven directly, e.g. from tests):
-    // run the item through a private one, serial or overlapped per opt.
-    ItemExecutor local(*this);
-    local.submit(std::move(task));
-    local.drain();
-  }
+  std::vector<std::uint32_t> ids;
+  index->gather_in_cube(my_requests[i], cube_side, ids);
+  std::vector<Vec3> cube;
+  cube.reserve(ids.size());
+  for (const auto id : ids) cube.push_back(local_particles[id]);
+  run_item(std::move(cube), item_counts[i], my_requests[i], my_request_ids[i],
+           ItemPath::kLocal);
 }
 
 // ---- Stage 1: partitioning & redistribution + durable setup ---------------
@@ -684,12 +650,6 @@ void ComputeStage::run(StageContext& ctx) const {
                     res.model.predict_interp(ctx.item_counts[ti]), false);
   }
 
-  // Stage-scoped overlapped executor: every compute path below goes through
-  // submit(), which commits strictly in submission order — so the journal,
-  // metrics, and result bookkeeping replay the serial schedule exactly
-  // (bitwise), for any --compute-ahead window.
-  ItemExecutor exec(ctx);
-
   // A work package the sender keeps until the receiver acknowledges it; on
   // death, timeout, or give-up the sender unpacks it and computes the items
   // itself (degrading toward the paper's no-load-balance baseline).
@@ -712,17 +672,8 @@ void ComputeStage::run(StageContext& ctx) const {
     }
     for (std::size_t i = 0; i < centers.size(); ++i) {
       const double n = static_cast<double>(cubes[i].size());
-      ItemTask task;
-      task.gather = [cube = std::make_shared<std::vector<Vec3>>(
-                         std::move(cubes[i]))] { return std::move(*cube); };
-      task.center = centers[i];
-      task.request_index = req_ids[i];
-      task.pred_seconds = res.model.predict(n);
-      task.pred_tri = res.model.predict_tri(n);
-      task.pred_interp = res.model.predict_interp(n);
-      task.crash_phase = phases::kInFlightFallback;
-      task.fallback = true;
-      exec.submit(std::move(task));
+      ctx.run_item(std::move(cubes[i]), n, centers[i], req_ids[i],
+                   StageContext::ItemPath::kFallback);
     }
   };
 
@@ -810,9 +761,8 @@ void ComputeStage::run(StageContext& ctx) const {
         obs::add(m.work_packages);
         obs::add(m.items_sent, static_cast<double>(centers.size()));
       }
-      if (opt.fault_tolerant)
-        pending.push_back({ctx.plan.ordered_sends[k].receiver, seq,
-                           std::move(buf)});
+      pending.push_back({ctx.plan.ordered_sends[k].receiver, seq,
+                         std::move(buf)});
     }
     for (std::size_t j = 0; j < ctx.remaining.size(); ++j)
       if (ctx.plan.item_assignment[j] == SenderPlan::kRunAtEnd)
@@ -837,29 +787,11 @@ void ComputeStage::run(StageContext& ctx) const {
         }
         for (std::size_t i = 0; i < centers.size(); ++i) {
           const double n = static_cast<double>(cubes[i].size());
-          ItemTask task;
-          task.gather = [cube = std::make_shared<std::vector<Vec3>>(
-                             std::move(cubes[i]))] { return std::move(*cube); };
-          task.center = centers[i];
-          task.request_index = req_ids[i];
-          task.pred_seconds = res.model.predict(n);
-          task.pred_tri = res.model.predict_tri(n);
-          task.pred_interp = res.model.predict_interp(n);
-          task.crash_phase = phases::kInFlightReceived;
-          task.received = true;
-          exec.submit(std::move(task));
+          ctx.run_item(std::move(cubes[i]), n, centers[i], req_ids[i],
+                       StageContext::ItemPath::kReceived);
           ++res.items_received;
         }
       };
-
-      if (!opt.fault_tolerant) {
-        const auto buf = comm.recv_vector<double>(sender, kTagWork);
-        const std::string problem = package_problem(buf);
-        DTFE_CHECK_MSG(problem.empty(), "work package from rank "
-                                            << sender << ": " << problem);
-        handle_package(buf);
-        continue;
-      }
 
       int attempts = 0;
       while (true) {
@@ -901,19 +833,14 @@ void ComputeStage::run(StageContext& ctx) const {
       }
     }
   }
-
-  // Flush the in-flight window before the stage ends: RecoverStage's done
-  // lists and the final result must see every committed item.
-  exec.drain();
 }
 
 // ---- Recovery: recompute items lost with dead ranks ------------------------
 
 void RecoverStage::run(StageContext& ctx) const {
-  const PipelineOptions& opt = ctx.opt;
   PipelineResult& res = ctx.res;
   simmpi::Comm& comm = ctx.comm;
-  if (!(opt.fault_tolerant && ctx.P > 1)) return;
+  if (ctx.P == 1) return;
   comm.barrier();
   // All live ranks must agree on entering recovery — a rank can die after
   // some peers have already sampled any_rank_failed(), so the decision
@@ -942,31 +869,16 @@ void RecoverStage::run(StageContext& ctx) const {
   // the slot for every missing id, so the assignment is agreed without
   // another negotiation round.
   std::size_t slot = 0;
-  ItemExecutor exec(ctx);
   for (std::size_t gi = 0; gi < ctx.field_centers.size(); ++gi) {
     if (have[gi]) continue;
     const int who = live[slot++ % live.size()];
     if (who != ctx.me) continue;
     const Vec3 w = wrap_periodic(ctx.field_centers[gi], ctx.box);
-    // Fetch on the rank thread (CubeFetcher implementations are not required
-    // to be thread-safe); the executor still overlaps the triangulation of
-    // this cube with the render of the previous recovered item.
     std::vector<Vec3> cube = ctx.fetch_cube(w, ctx.cube_side);
     const double n = static_cast<double>(cube.size());
-    ItemTask task;
-    task.gather = [c = std::make_shared<std::vector<Vec3>>(std::move(cube))] {
-      return std::move(*c);
-    };
-    task.center = w;
-    task.request_index = static_cast<std::ptrdiff_t>(gi);
-    task.pred_seconds = res.model.predict(n);
-    task.pred_tri = res.model.predict_tri(n);
-    task.pred_interp = res.model.predict_interp(n);
-    task.crash_phase = phases::kInFlightRecover;
-    task.recovered = true;
-    exec.submit(std::move(task));
+    ctx.run_item(std::move(cube), n, w, static_cast<std::ptrdiff_t>(gi),
+                 StageContext::ItemPath::kRecovered);
   }
-  exec.drain();
 }
 
 // ---- Final agreement -------------------------------------------------------

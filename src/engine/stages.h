@@ -38,8 +38,6 @@
 
 namespace dtfe::engine {
 
-class ItemExecutor;
-
 /// Everything one rank's pipeline run reads and produces, shared by the
 /// stages. Inputs are set at construction; the rest is filled as stages run.
 struct StageContext {
@@ -65,14 +63,6 @@ struct StageContext {
   double cube_side;
   double ghost_radius;
   Rng rng;  ///< model-sample pick (seeded exactly as the monolith did)
-  /// Prepare-pool size from configure_rank_threading (engine/executor.h);
-  /// the kernel-team cap is applied to this rank thread's OpenMP ICVs at
-  /// construction, so it needs no storage here.
-  int prepare_workers = 0;
-  /// The stage-scoped overlapped executor, when one is live (set/cleared by
-  /// ItemExecutor's constructor/destructor). execute_local falls back to a
-  /// private serial executor when null.
-  ItemExecutor* exec = nullptr;
 
   // --- produced by ExchangeStage -------------------------------------------
   std::optional<Decomposition> decomp;
@@ -103,6 +93,14 @@ struct StageContext {
   /// item trace spans, result bookkeeping.
   void record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
                    double pred_interp, bool received);
+  /// How an item reached this rank: picks its crash-registry label and the
+  /// ItemRecord path flag.
+  enum class ItemPath { kLocal, kReceived, kFallback, kRecovered };
+  /// Compute one item on this rank thread and commit it: arm the watchdog
+  /// from the model's prediction for `count` particles, flag the item in the
+  /// crash registry, compute_item, record_item.
+  void run_item(std::vector<Vec3> cube, double count, const Vec3& center,
+                std::ptrdiff_t request_index, ItemPath path);
   /// Gather the cube for my_requests[remaining[j]], compute, record.
   void execute_local(std::size_t idx_in_remaining);
 };

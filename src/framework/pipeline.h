@@ -56,9 +56,6 @@ struct PipelineOptions {
   /// mass-conserving stochastic smoothing); 1 = exact legacy render.
   int smooth_ensemble = 1;
   // --- fault tolerance (see README "Fault tolerance") ---------------------
-  /// Run the acknowledged work-package protocol plus the post-execution
-  /// recovery phase. Off = the paper's original fire-and-forget exchange.
-  bool fault_tolerant = true;
   /// How many times a corrupt or missing work package is re-requested before
   /// the pair gives up and the sender computes the items itself.
   int max_retries = 3;
@@ -92,17 +89,10 @@ struct PipelineOptions {
   /// Escalate any audit violation to a thrown Error (aborting the run)
   /// instead of counting and tagging it.
   bool audit_fatal = false;
-  // --- intra-rank compute pipeline (see README "Performance") -------------
-  /// Bounded look-ahead window for the intra-rank item pipeline: up to this
-  /// many items are gathered + triangulated on pool threads while the rank
-  /// thread renders earlier items. 0 = fully serial (the legacy path).
-  /// Commits stay in submission order, so grids, checkpoint journals,
-  /// metrics, and report tags are bitwise identical for every setting.
-  int compute_ahead = 0;
-  /// Process-wide thread budget shared by all ranks in this process
-  /// (0 = the OpenMP default). Each rank's kernel team plus its prepare
-  /// workers are capped to budget / ranks-per-process so pool threads ×
-  /// OpenMP teams never oversubscribe the machine (engine/executor.h).
+  // --- threading (see DESIGN.md §8 "Threading model") ---------------------
+  /// Process-wide thread budget shared by all ranks (0 = the OpenMP
+  /// default). Each rank's kernel team gets max(1, threads / ranks), so the
+  /// rank teams never oversubscribe the machine; grids do not depend on it.
   int threads = 0;
 };
 

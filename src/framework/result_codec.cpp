@@ -16,7 +16,9 @@ constexpr std::uint32_t kResultMagic = 0x52534C50u;  // "PLSR"
 // multi-channel FieldGrids, and WorkerPayload ships histogram snapshots.
 // v3: PipelineOptions gained the marching kernel's SIMD A/B switch.
 // v4: that switch removed with the SIMD route it selected.
-constexpr std::uint32_t kVersion = 4;
+// v5: PipelineOptions lost the look-ahead window and the fault-tolerance
+// switch (always on).
+constexpr std::uint32_t kVersion = 5;
 
 class ByteWriter {
  public:
@@ -118,7 +120,6 @@ void write_options(ByteWriter& w, const PipelineOptions& o) {
   w.pod(static_cast<std::uint64_t>(o.count_grid_cells));
   w.pod(o.seed);
   w.str(o.kernel);
-  w.pod(static_cast<std::uint8_t>(o.fault_tolerant));
   w.pod(o.max_retries);
   w.pod(o.comm_timeout_ms);
   w.pod(static_cast<std::int32_t>(o.bad_particles));
@@ -129,7 +130,6 @@ void write_options(ByteWriter& w, const PipelineOptions& o) {
   w.pod(o.min_item_deadline_ms);
   w.pod(o.audit);  // trivially copyable
   w.pod(static_cast<std::uint8_t>(o.audit_fatal));
-  w.pod(o.compute_ahead);
   w.pod(o.threads);
   w.pod(static_cast<std::uint64_t>(o.field));
   w.pod(o.smooth_ensemble);
@@ -146,7 +146,6 @@ PipelineOptions read_options(ByteReader& r) {
   o.count_grid_cells = static_cast<std::size_t>(r.pod<std::uint64_t>());
   o.seed = r.pod<std::uint64_t>();
   o.kernel = r.str();
-  o.fault_tolerant = r.pod<std::uint8_t>() != 0;
   o.max_retries = r.pod<int>();
   o.comm_timeout_ms = r.pod<int>();
   const auto bad_particles = r.pod<std::int32_t>();
@@ -162,7 +161,6 @@ PipelineOptions read_options(ByteReader& r) {
   o.min_item_deadline_ms = r.pod<double>();
   o.audit = r.pod<AuditOptions>();
   o.audit_fatal = r.pod<std::uint8_t>() != 0;
-  o.compute_ahead = r.pod<int>();
   o.threads = r.pod<int>();
   const auto field = r.pod<std::uint64_t>();
   DTFE_CHECK_MSG(field <= static_cast<std::uint64_t>(FieldKind::kGrad),

@@ -19,6 +19,16 @@ inline std::uint64_t splitmix64(std::uint64_t& state) {
 }
 }  // namespace detail
 
+/// Nonzero RNG state for task `index` of a stream (one ray, one grid
+/// column): a splitmix of (seed, index). It does not depend on which thread
+/// runs the task, so parallel renders are bitwise reproducible under any
+/// OpenMP team size or schedule.
+inline std::uint64_t task_seed(std::uint64_t seed, std::uint64_t index) {
+  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ull * (index + 1));
+  const std::uint64_t v = detail::splitmix64(state);
+  return v ? v : 0x9e3779b97f4a7c15ull;
+}
+
 /// xoshiro256** PRNG. Satisfies UniformRandomBitGenerator.
 class Rng {
  public:

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "delaunay/hull_projection.h"
@@ -214,6 +216,60 @@ TEST(WalkingKernel, MonteCarloVariantIsUnbiasedish) {
   // MC jitters within cells: same field, so grids agree to sampling noise.
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_NEAR(b.flat(i), a.flat(i), 0.5 * std::abs(a.flat(i)) + 1e-9);
+}
+
+/// Renders under an OpenMP team of `threads`, restoring the caller's size.
+template <typename Render>
+Grid2D render_with_team(int threads, Render render) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  Grid2D g = render();
+  omp_set_num_threads(saved);
+  return g;
+}
+
+bool bitwise_equal(const Grid2D& a, const Grid2D& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+TEST(WalkingKernel, JitteredRenderBitwiseAcrossTeamSizes) {
+  // Each column seeds its jitter and walks from (seed, column index), so the
+  // team size and the dynamic schedule cannot move a sample.
+  Fixture fx(300, 18);
+  FieldSpec spec;
+  spec.origin = {0.2, 0.2};
+  spec.length = 0.6;
+  spec.resolution = 24;
+  spec.zmin = 0.1;
+  spec.zmax = 0.9;
+  WalkingOptions wopt;
+  wopt.z_resolution = 32;
+  wopt.monte_carlo_samples = 4;
+  const WalkingKernel walking(fx.rho, wopt);
+  const Grid2D one = render_with_team(1, [&] { return walking.render(spec); });
+  const Grid2D four = render_with_team(4, [&] { return walking.render(spec); });
+  EXPECT_TRUE(bitwise_equal(one, four));
+}
+
+TEST(TessKernel, RenderAndHillclimbStepsBitwiseAcrossTeamSizes) {
+  Fixture fx(300, 19);
+  FieldSpec spec;
+  spec.origin = {0.2, 0.2};
+  spec.length = 0.6;
+  spec.resolution = 24;
+  spec.zmin = 0.1;
+  spec.zmax = 0.9;
+  TessOptions topt;
+  topt.z_resolution = 32;
+  const TessKernel tess(fx.rho, topt);
+  const Grid2D one = render_with_team(1, [&] { return tess.render(spec); });
+  const std::uint64_t steps_one = tess.stats().hillclimb_steps;
+  const Grid2D four = render_with_team(4, [&] { return tess.render(spec); });
+  EXPECT_TRUE(bitwise_equal(one, four));
+  EXPECT_GT(steps_one, 0u);
+  EXPECT_EQ(tess.stats().hillclimb_steps, steps_one);
 }
 
 TEST(TessKernel, NearestSiteMatchesBruteForce) {

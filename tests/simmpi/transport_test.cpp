@@ -254,7 +254,7 @@ TEST(ResultCodec, WorkerPayloadRoundTrips) {
   p.wire.note(2000, 3e-4);
   p.counters = {{"dtfe.pipeline.items_computed", 12.0},
                 {"dtfe.simmpi.messages", 40.0}};
-  p.gauges = {{"dtfe.executor.queue_peak", 2.0}};
+  p.gauges = {{"dtfe.schedule.binpack_fill_ratio", 0.75}};
   obs::HistogramSnapshot h;
   h.bounds = {1.0, 10.0, 100.0};
   h.counts = {2.0, 5.0, 1.0, 0.0};  // 3 bounds -> 4 buckets
@@ -285,7 +285,7 @@ TEST(ResultCodec, WorkerPayloadRoundTrips) {
   EXPECT_EQ(back.wire.messages, 2u);
   EXPECT_DOUBLE_EQ(back.wire.sum_latency_s, p.wire.sum_latency_s);
   EXPECT_EQ(back.counters.at("dtfe.simmpi.messages"), 40.0);
-  EXPECT_EQ(back.gauges.at("dtfe.executor.queue_peak"), 2.0);
+  EXPECT_EQ(back.gauges.at("dtfe.schedule.binpack_fill_ratio"), 0.75);
   ASSERT_EQ(back.result.items.size(), 1u);
   EXPECT_EQ(back.result.items[0].request_index, 7);
   EXPECT_DOUBLE_EQ(back.result.items[0].grid_sum, 123.456);
@@ -338,6 +338,26 @@ TEST(ResultCodec, RejectsGarbage) {
   EXPECT_THROW(decode_launch_config(junk), Error);
   EXPECT_THROW(decode_worker_payload(junk), Error);
   EXPECT_THROW(decode_worker_payload({}), Error);
+}
+
+TEST(ResultCodec, RejectsOtherCodecVersions) {
+  // A v4 peer still encodes the removed look-ahead and fault-tolerance
+  // option fields; its bytes must be refused, not misread. The version is
+  // the uint32 after the magic.
+  auto as_v4 = [](std::vector<std::byte> bytes) {
+    std::uint32_t version = 0;
+    std::memcpy(&version, bytes.data() + 4, sizeof version);
+    EXPECT_EQ(version, 5u);
+    version = 4;
+    std::memcpy(bytes.data() + 4, &version, sizeof version);
+    return bytes;
+  };
+  LaunchConfig cfg;
+  cfg.snapshot = "snap.bin";
+  WorkerPayload p;
+  p.rank = 1;
+  EXPECT_THROW(decode_launch_config(as_v4(encode_launch_config(cfg))), Error);
+  EXPECT_THROW(decode_worker_payload(as_v4(encode_worker_payload(p))), Error);
 }
 
 TEST(ResultCodec, RejectsOutOfRangeEnums) {
