@@ -14,11 +14,9 @@
 //                  [--trace-out t.json] [--report prefix]
 //                  [--fault-plan spec] [--max-retries 3]
 //                  [--comm-timeout-ms 2000] [--bad-particles reject|drop|clamp]
-//                  [--threads N]
-//   pdtfe launch   --in snap.bin [--ranks 3] [--transport socket] ...
-//                  (pipeline with --transport defaulting to socket: spawns
-//                  one worker process per rank; see README "Multi-process
-//                  execution")
+//                  [--threads N] [--transport thread|socket]
+//                  (--transport socket spawns one worker process per rank;
+//                  see README "Multi-process execution")
 //   pdtfe lensing  --in snap.bin --out-prefix lens [--grid 256]
 //                  [--length 8] [--sigma-crit-frac 4]
 //   pdtfe spectrum --in snap.bin [--grid 64] [--bins 16]
@@ -107,7 +105,7 @@ struct ObsSession {
 int usage() {
   std::fprintf(stderr,
                "usage: pdtfe "
-               "<generate|info|render|pipeline|launch|lensing|spectrum> "
+               "<generate|info|render|pipeline|lensing|spectrum> "
                "[--flags]\n       see the header of apps/pdtfe_main.cpp\n");
   return 2;
 }
@@ -258,15 +256,14 @@ int cmd_render(const CliArgs& args) {
   return 0;
 }
 
-int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
+int cmd_pipeline(const CliArgs& args) {
   args.check_known({"in", "ranks", "fields", "length", "grid", "kernel",
                     "field", "smooth-ensemble",
                     "balance", "metrics-out", "trace-out", "report",
                     "fault-plan", "max-retries", "comm-timeout-ms",
                     "bad-particles", "checkpoint-dir", "resume",
                     "item-deadline-ms", "audit", "audit-fatal", "threads",
-                    "transport", "heartbeat-interval-ms",
-                    "heartbeat-miss-limit", "worker-binary", "worker-rank",
+                    "transport", "worker-binary", "worker-rank",
                     "socket-path", "worker-metrics"});
   // Worker re-entry (engine/multiproc.h): a launcher spawned this process
   // as one rank of a socket-transport run. Everything beyond the bootstrap
@@ -285,8 +282,6 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  if (default_transport_socket && !args.has("transport"))
-    cfg.transport.kind = engine::TransportKind::kSocket;
   const bool socket = cfg.transport.kind == engine::TransportKind::kSocket;
   const PipelineOptions& opt = cfg.pipeline;
 
@@ -317,7 +312,7 @@ int cmd_pipeline(const CliArgs& args, bool default_transport_socket = false) {
                 opt.smooth_ensemble);
   if (socket)
     std::printf("transport: socket (%d worker processes, heartbeat %d ms)\n",
-                cfg.ranks, cfg.transport.heartbeat_interval_ms);
+                cfg.ranks, simmpi::TransportOptions{}.heartbeat_interval_ms);
 
   install_crash_handler(obs_session.report_prefix.empty()
                             ? std::string{}
@@ -568,8 +563,6 @@ int main(int argc, char** argv) {
     if (cmd == "info") return cmd_info(args);
     if (cmd == "render") return cmd_render(args);
     if (cmd == "pipeline") return cmd_pipeline(args);
-    if (cmd == "launch")
-      return cmd_pipeline(args, /*default_transport_socket=*/true);
     if (cmd == "lensing") return cmd_lensing(args);
     if (cmd == "spectrum") return cmd_spectrum(args);
     return usage();

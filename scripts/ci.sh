@@ -12,23 +12,32 @@
 #      WORK done must update the reference intentionally — and fail when a
 #      Delaunay health ratio (conflict / created cells per insert) exceeds
 #      its upper bound there;
-#   3. rebuild under ThreadSanitizer (DTFE_SANITIZE=thread) and run the
+#   3. rebuild the decoder, transport, engine and CLI suites under
+#      AddressSanitizer (DTFE_SANITIZE=address) and run them: snapshot
+#      reader, result codec, frame parser and journal replay must turn
+#      damaged bytes into a dtfe::Error with no invalid memory access;
+#   4. rebuild under ThreadSanitizer (DTFE_SANITIZE=thread) and run the
 #      concurrency-sensitive suites — the fault-injection, durable-execution,
 #      and engine labels — against that build;
-#   4. rebuild under UBSan (DTFE_SANITIZE=undefined) and run the geometry,
+#   5. rebuild under UBSan (DTFE_SANITIZE=undefined) and run the geometry,
 #      triangulation, march-table, FOF cell-key, result-codec, durable and
 #      engine suites against that build.
 #
-# usage: ci.sh [--skip-tsan] [--skip-perf] [--jobs N]
+# Step 3 runs before the --skip-tsan exit, so a TSan failure never hides an
+# ASan one.
+#
+# usage: ci.sh [--skip-asan] [--skip-tsan] [--skip-perf] [--jobs N]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc)"
+SKIP_ASAN=0
 SKIP_TSAN=0
 SKIP_PERF=0
 while [ $# -gt 0 ]; do
   case "$1" in
+    --skip-asan) SKIP_ASAN=1; shift ;;
     --skip-tsan) SKIP_TSAN=1; shift ;;
     --skip-perf) SKIP_PERF=1; shift ;;
     --jobs) JOBS="$2"; shift 2 ;;
@@ -107,6 +116,27 @@ for name, bound in ref["health_upper_bounds"].items():
 print("perf-smoke: schema valid, op counters match the reference, "
       "health ratios within bounds")
 PY
+fi
+
+ASAN_SUITES="durable_test transport_test engine_test extensions_test misc_test"
+if [ "$SKIP_ASAN" -eq 1 ]; then
+  echo "== asan: skipped (--skip-asan)"
+else
+  echo "== asan: configure + build (build-asan/, DTFE_SANITIZE=address)"
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DDTFE_SANITIZE=address >/dev/null
+  # shellcheck disable=SC2086  # the suite list splits on purpose
+  cmake --build build-asan -j"$JOBS" --target $ASAN_SUITES
+
+  echo "== asan: durable/transport/engine/extensions/misc suites"
+  # durable_test replays damaged checkpoint journals; transport_test feeds
+  # the frame parser and result codec corrupt bytes and drives socket-worker
+  # runs of the pdtfe binary; extensions_test reads snapshots back through
+  # the engine; misc_test covers the CLI parser. Any ASan report aborts the
+  # binary with a nonzero exit.
+  for t in $ASAN_SUITES; do
+    "build-asan/tests/$t"
+  done
 fi
 
 if [ "$SKIP_TSAN" -eq 1 ]; then

@@ -2,8 +2,9 @@
 // library. Include this to get everything.
 //
 //   Single volume:   dtfe::Reconstructor
-//   Many fields:     dtfe::engine::Engine::run_batch (or the thinner
-//                    dtfe::run_pipeline) over dtfe::simmpi ranks
+//   Many fields:     dtfe::engine::Engine::run_batch, which runs the
+//                    per-rank entry dtfe::run_pipeline (or
+//                    run_pipeline_from_snapshot) on dtfe::simmpi ranks
 //   Data:            dtfe::generate_* / snapshot I/O / FOF halos
 //
 // See README.md for a quickstart and DESIGN.md for the architecture map.

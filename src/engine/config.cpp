@@ -1,7 +1,5 @@
 #include "engine/config.h"
 
-#include <cstdlib>
-
 #include "dtfe/audit.h"
 #include "engine/field_kernel.h"
 #include "util/error.h"
@@ -39,11 +37,10 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
   if (opt.resume && opt.checkpoint_dir.empty())
     throw Error("--resume needs --checkpoint-dir");
 
-  const std::string deadline_arg = args.get("item-deadline-ms", std::string{});
-  if (deadline_arg == "auto")
+  if (args.get("item-deadline-ms", std::string{}) == "auto")
     opt.item_deadline_ms = 0.0;  // derive from the fitted cost model
-  else if (!deadline_arg.empty())
-    opt.item_deadline_ms = std::strtod(deadline_arg.c_str(), nullptr);
+  else
+    opt.item_deadline_ms = args.get("item-deadline-ms", opt.item_deadline_ms);
 
   opt.audit.level = parse_audit_level(args.get("audit", std::string{"off"}));
   opt.audit_fatal = args.get("audit-fatal", 0L) != 0;
@@ -82,14 +79,6 @@ EngineConfig EngineConfig::from_cli(const CliArgs& args) {
     throw Error("unknown --transport " + transport +
                 " (expected thread or socket)");
   }
-  cfg.transport.heartbeat_interval_ms =
-      static_cast<int>(args.get("heartbeat-interval-ms", 100L));
-  if (cfg.transport.heartbeat_interval_ms < 1)
-    throw Error("--heartbeat-interval-ms must be >= 1");
-  cfg.transport.heartbeat_miss_limit =
-      static_cast<int>(args.get("heartbeat-miss-limit", 20L));
-  if (cfg.transport.heartbeat_miss_limit < 1)
-    throw Error("--heartbeat-miss-limit must be >= 1");
   cfg.transport.worker_binary = args.get("worker-binary", std::string{});
   return cfg;
 }

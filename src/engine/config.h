@@ -24,8 +24,6 @@ enum class TransportKind {
 
 struct TransportConfig {
   TransportKind kind = TransportKind::kThread;
-  int heartbeat_interval_ms = 100;  ///< worker beacon period (socket)
-  int heartbeat_miss_limit = 20;    ///< missed beacons before declared dead
   /// Worker executable ("" = re-exec this binary via /proc/self/exe).
   std::string worker_binary;
 };
@@ -40,8 +38,8 @@ struct EngineConfig {
 
   /// Parse the `pdtfe pipeline` flag set (the historical spellings,
   /// including --item-deadline-ms auto and --fault-plan grammar). Throws
-  /// dtfe::Error with the same message texts the subcommand used to print
-  /// for invalid values; the caller maps that to its usage exit code.
+  /// dtfe::Error naming the flag for an invalid value, a malformed number
+  /// included; the caller maps that to its usage exit code.
   static EngineConfig from_cli(const CliArgs& args);
 };
 

@@ -6,13 +6,12 @@
 //   std::vector<FieldRequest> reqs = {{center0}, {center1}, ...};
 //   const std::vector<FieldResult> fields = engine.run_batch(reqs);
 //
-// run_batch drives the full staged pipeline (engine/stages.h) across
-// cfg.ranks simulated MPI ranks and merges the per-rank outputs into one
-// result per request. It is re-entrant: every Engine owns its metric ids
-// and crash-diagnostics registry, so multiple engines — and multiple
-// sequential batches per engine — coexist in one process with no shared
-// mutable state. Grids are bitwise identical from batch to batch (per-item
-// kernel seeds are pure functions of the request identity).
+// run_batch runs the per-rank pipeline entry (run_pipeline, or
+// run_pipeline_from_snapshot for a snapshot-backed engine) on cfg.ranks
+// simulated MPI ranks and merges the per-rank outputs into one result per
+// request. Several engines, and several batches per engine, may run one
+// after another in one process: grids are bitwise identical from batch to
+// batch (per-item kernel seeds are pure functions of the request identity).
 #pragma once
 
 #include <cstddef>
@@ -22,9 +21,7 @@
 #include <vector>
 
 #include "engine/config.h"
-#include "engine/field_kernel.h"
-#include "engine/state.h"
-#include "framework/crash.h"
+#include "framework/crash.h"  // re-exported: apps install the crash handler
 #include "framework/pipeline.h"
 #include "nbody/particles.h"
 #include "simmpi/socket_transport.h"
@@ -93,11 +90,6 @@ class Engine {
 
   const EngineConfig& config() const { return config_; }
 
-  /// Swap in a custom kernel registry (tests, plug-in estimators). The
-  /// registry must outlive the engine; pipeline.kernel names resolve in it.
-  void set_kernels(const KernelRegistry* kernels) { kernels_ = kernels; }
-  const KernelRegistry& kernels() const { return *kernels_; }
-
  private:
   /// Multi-process path (engine/multiproc.cpp): spawn one worker process
   /// per rank, route frames between them, merge their shipped-back results.
@@ -106,9 +98,6 @@ class Engine {
 
   EngineConfig config_;
   std::optional<ParticleSet> particles_;
-  PipelineMetrics metrics_;     ///< engine-owned: no function-local statics
-  CrashItemRegistry crash_;     ///< engine-owned crash-diagnostics slots
-  const KernelRegistry* kernels_ = &KernelRegistry::builtin();
   std::vector<RankRun> rank_runs_;
   simmpi::TransportStats wire_stats_{};
 };

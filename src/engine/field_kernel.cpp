@@ -299,25 +299,25 @@ FieldGrid TessFieldKernel::render_one(const FieldCube& cube,
   return FieldGrid(kernel.render(request.spec));
 }
 
-const KernelRegistry& KernelRegistry::builtin() {
-  static const KernelRegistry reg = [] {
-    KernelRegistry r;
-    r.add("march", [](const KernelOptions& o) {
-      return std::make_unique<MarchingFieldKernel>(o.marching);
-    });
-    r.add("walk", [](const KernelOptions& o) {
-      return std::make_unique<WalkingFieldKernel>(o.walking);
-    });
-    r.add("tess", [](const KernelOptions& o) {
-      return std::make_unique<TessFieldKernel>(o.tess);
-    });
-    return r;
-  }();
-  return reg;
-}
+KernelRegistry::KernelRegistry()
+    : factories_{
+          {"march",
+           [](const KernelOptions& o) -> std::unique_ptr<FieldKernel> {
+             return std::make_unique<MarchingFieldKernel>(o.marching);
+           }},
+          {"walk",
+           [](const KernelOptions& o) -> std::unique_ptr<FieldKernel> {
+             return std::make_unique<WalkingFieldKernel>(o.walking);
+           }},
+          {"tess",
+           [](const KernelOptions& o) -> std::unique_ptr<FieldKernel> {
+             return std::make_unique<TessFieldKernel>(o.tess);
+           }},
+      } {}
 
-void KernelRegistry::add(const std::string& name, Factory factory) {
-  factories_[name] = std::move(factory);
+const KernelRegistry& KernelRegistry::builtin() {
+  static const KernelRegistry reg;
+  return reg;
 }
 
 bool KernelRegistry::contains(const std::string& name) const {

@@ -6,14 +6,11 @@
 // signatures. FieldKernel puts them behind one
 //   render(cube, request, deadline, stats)
 // contract over a shared FieldCube (the triangulated particle cube), and
-// KernelRegistry makes them addressable by the strings the CLI and
-// EngineConfig already speak ("march" / "walk" / "tess"). New estimators
-// (GPU backends, multi-resolution kernels) plug in by registering a factory;
-// nothing in the stages changes.
+// KernelRegistry::builtin() makes them addressable by the strings the CLI
+// and EngineConfig already speak ("march" / "walk" / "tess").
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -179,20 +176,11 @@ class TessFieldKernel final : public FieldKernel {
   TessOptions base_;
 };
 
-/// String-keyed kernel factory table. builtin() carries march/walk/tess;
-/// custom registries (tests, plug-in backends) start empty.
+/// String-keyed table of the built-in kernels: march, walk and tess.
 class KernelRegistry {
  public:
-  using Factory =
-      std::function<std::unique_ptr<FieldKernel>(const KernelOptions&)>;
-
-  KernelRegistry() = default;
-
-  /// The immutable process-wide registry of the built-in kernels.
+  /// The immutable process-wide registry.
   static const KernelRegistry& builtin();
-
-  /// Register (or replace) a factory under `name`.
-  void add(const std::string& name, Factory factory);
 
   bool contains(const std::string& name) const;
   std::vector<std::string> names() const;  ///< sorted
@@ -202,6 +190,9 @@ class KernelRegistry {
                                       const KernelOptions& opt = {}) const;
 
  private:
+  using Factory = std::unique_ptr<FieldKernel> (*)(const KernelOptions&);
+  KernelRegistry();
+
   std::map<std::string, Factory> factories_;
 };
 

@@ -19,9 +19,7 @@
 #include <utility>
 
 #include "engine/engine.h"
-#include "engine/stages.h"
 #include "framework/result_codec.h"
-#include "nbody/snapshot_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simmpi/socket_transport.h"
@@ -97,8 +95,6 @@ std::vector<FieldResult> Engine::run_batch_socket(
   simmpi::TransportOptions topt;
   topt.socket_path = scratch.path + "/router.sock";
   topt.ranks = nranks;
-  topt.heartbeat_interval_ms = config_.transport.heartbeat_interval_ms;
-  topt.heartbeat_miss_limit = config_.transport.heartbeat_miss_limit;
 
   // Bind before spawning so no worker can race the listener.
   simmpi::Router router(topt);
@@ -123,8 +119,6 @@ std::vector<FieldResult> Engine::run_batch_socket(
           "--worker-rank", std::to_string(r),
           "--ranks", std::to_string(nranks),
           "--socket-path", topt.socket_path,
-          "--heartbeat-interval-ms",
-          std::to_string(topt.heartbeat_interval_ms),
           "--worker-metrics", metrics ? "1" : "0",
       };
       if (!fault_spec.empty()) {
@@ -209,7 +203,6 @@ int run_worker(const WorkerOptions& wopt) {
   simmpi::TransportOptions topt;
   topt.socket_path = wopt.socket_path;
   topt.ranks = wopt.ranks;
-  topt.heartbeat_interval_ms = wopt.heartbeat_interval_ms;
   topt.fault_plan = wopt.fault_plan.empty() ? nullptr : &wopt.fault_plan;
 
   simmpi::SocketEndpoint ep(wopt.rank, topt);
@@ -218,30 +211,9 @@ int run_worker(const WorkerOptions& wopt) {
     PipelineOptions opt = lc.pipeline;
     opt.keep_grids = true;
 
-    // Worker-local service bundle: this process IS one rank, so the
-    // process-default instances would work, but owning them keeps the
-    // worker path symmetric with Engine's thread path.
-    const PipelineMetrics pmetrics;
-    CrashItemRegistry crash;
-    const EngineState state{&pmetrics, &crash, &KernelRegistry::builtin()};
-
-    const SnapshotHeader header = read_snapshot_header(lc.snapshot);
-    std::vector<Vec3> block;
-    for (std::size_t b = static_cast<std::size_t>(wopt.rank);
-         b < header.blocks.size(); b += static_cast<std::size_t>(wopt.ranks)) {
-      const auto part = read_snapshot_block(lc.snapshot, header, b);
-      block.insert(block.end(), part.begin(), part.end());
-    }
-    const std::string& path = lc.snapshot;
-    const CubeFetcher fetch = [&path, &header](const Vec3& center,
-                                               double side) {
-      return read_snapshot_cube(path, header, center, side);
-    };
-
     simmpi::Comm comm(&ep, wopt.rank);
     PipelineResult res =
-        run_stages(comm, opt, state, header.box_length, header.particle_mass,
-                   std::move(block), lc.field_centers, fetch);
+        run_pipeline_from_snapshot(comm, lc.snapshot, lc.field_centers, opt);
 
     WorkerPayload payload;
     payload.rank = wopt.rank;
@@ -268,8 +240,6 @@ int run_worker_from_cli(const CliArgs& args) {
   wopt.rank = static_cast<int>(args.get("worker-rank", -1L));
   wopt.ranks = static_cast<int>(args.get("ranks", 0L));
   wopt.socket_path = args.get("socket-path", std::string{});
-  wopt.heartbeat_interval_ms =
-      static_cast<int>(args.get("heartbeat-interval-ms", 100L));
   wopt.fault_plan =
       simmpi::FaultPlan::parse(args.get("fault-plan", std::string{}));
   wopt.metrics = args.get("worker-metrics", 0L) != 0;

@@ -26,7 +26,6 @@ struct WorkerOptions {
   int rank = -1;
   int ranks = 0;
   std::string socket_path;
-  int heartbeat_interval_ms = 100;
   simmpi::FaultPlan fault_plan;  ///< replayed worker-locally
   bool metrics = false;          ///< launcher had metrics armed
 };

@@ -5,7 +5,7 @@
 //     by the stages (tests/obs asserts their cpu_s args sum to
 //     PhaseTimes::total(), so the span names are part of the contract),
 //   * the per-rank run-report rows written by the pdtfe CLI, and
-//   * the crash-diagnostics in-flight registry, whose phase labels must be
+//   * the crash-diagnostics in-flight slots, whose phase labels must be
 //     string literals with static storage (the signal handler prints the
 //     pointer's target after the fault).
 // Every producer takes its name from here; nothing else spells them out.
@@ -38,7 +38,7 @@ inline constexpr const char* kPlanningCategory = "planning";
 inline constexpr const char* kReadSnapshot = "planning.read_snapshot";
 inline constexpr const char* kFindFofGroups = "planning.find_fof_groups";
 
-// Crash-registry in-flight labels: which execution path owned the item when
+// Crash-diagnostics in-flight labels: which execution path owned the item when
 // a hard fault hit. Must stay string literals (see framework/crash.h).
 inline constexpr const char* kInFlightModelSample = "model_sample";
 inline constexpr const char* kInFlightLocal = "execute_local";

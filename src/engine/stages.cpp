@@ -35,6 +35,32 @@ constexpr std::int32_t kAckOk = 1;      ///< package validated, items accepted
 constexpr std::int32_t kAckResend = 2;  ///< package missing/corrupt, send again
 constexpr std::int32_t kAckGiveUp = 3;  ///< retries exhausted, sender keeps it
 
+/// The pipeline's metric ids, resolved once against the global registry.
+struct PipelineMetrics {
+  obs::MetricId items_computed = obs::counter("dtfe.pipeline.items_computed");
+  obs::MetricId items_received = obs::counter("dtfe.pipeline.items_received");
+  obs::MetricId items_sent = obs::counter("dtfe.pipeline.items_sent");
+  obs::MetricId work_packages =
+      obs::counter("dtfe.pipeline.work_packages_sent");
+  obs::MetricId runs = obs::counter("dtfe.pipeline.runs");
+  obs::MetricId items_failed = obs::counter("dtfe.item.failed");
+  obs::MetricId items_recovered =
+      obs::counter("dtfe.pipeline.items_recovered");
+  obs::MetricId fallback = obs::counter("dtfe.workshare.fallback");
+  obs::MetricId retries = obs::counter("dtfe.workshare.retries");
+  obs::MetricId packages_lost = obs::counter("dtfe.workshare.packages_lost");
+  obs::MetricId bad_particles = obs::counter("dtfe.input.bad_particles");
+  obs::MetricId items_replayed =
+      obs::counter("dtfe.pipeline.items_replayed");
+  obs::MetricId checkpoint_commits =
+      obs::counter("dtfe.checkpoint.items_committed");
+  obs::MetricId cancelled = obs::counter("dtfe.watchdog.items_cancelled");
+};
+const PipelineMetrics& pipeline_metrics() {
+  static const PipelineMetrics m;
+  return m;
+}
+
 /// Accumulates the scope's thread-CPU seconds into a PhaseTimes field (via
 /// ScopedTimer) and emits a phases::kCategory trace span whose `cpu_s`
 /// argument is EXACTLY the accumulated value: tests/obs asserts that the
@@ -182,10 +208,13 @@ bool lex_less(const Vec3& a, const Vec3& b) {
 
 }  // namespace
 
-FieldGrid compute_item(const EngineState& state,
-                       std::vector<Vec3> cube_particles, double mass,
-                       const Vec3& center, const PipelineOptions& opt,
-                       ItemRecord& record, const Deadline* deadline) {
+}  // namespace dtfe::engine
+
+namespace dtfe {
+
+FieldGrid compute_field_item(std::vector<Vec3> cube_particles, double mass,
+                             const Vec3& center, const PipelineOptions& opt,
+                             ItemRecord& record, const Deadline* deadline) {
   // Callers pre-set only the path flags (fallback/recovered); the rest of
   // the record describes this computation.
   ItemRecord fresh;
@@ -198,11 +227,13 @@ FieldGrid compute_item(const EngineState& state,
     record.failed = true;
     record.fail_reason = reason;
     record.cancelled = reason.find("deadline exceeded") != std::string::npos;
-    if (obs::metrics_enabled()) obs::add(state.metrics->items_failed);
+    if (obs::metrics_enabled())
+      obs::add(engine::pipeline_metrics().items_failed);
     return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
   };
   for (const Vec3& q : cube_particles)
-    if (!finite3(q)) return contain("non-finite particle position in cube");
+    if (!engine::finite3(q))
+      return contain("non-finite particle position in cube");
   if (cube_particles.size() < opt.min_particles) {
     // An (almost) empty region is an expected zero field, not a failure.
     return FieldGrid(opt.field, opt.field_resolution, opt.field_resolution);
@@ -211,9 +242,9 @@ FieldGrid compute_item(const EngineState& state,
   // re-read cubes hold the same particle SET in different orders; sorting
   // makes the triangulation input — and hence the rendered grid — bitwise
   // identical across all of them.
-  std::sort(cube_particles.begin(), cube_particles.end(), lex_less);
+  std::sort(cube_particles.begin(), cube_particles.end(), engine::lex_less);
   ThreadCpuTimer t;
-  std::optional<FieldCube> cube;
+  std::optional<engine::FieldCube> cube;
   try {
     TriangulationOptions topt;
     topt.deadline = deadline;
@@ -228,19 +259,19 @@ FieldGrid compute_item(const EngineState& state,
   }
   FieldGrid grid;
   AuditResult audit;
-  RenderRequest request;
+  engine::RenderRequest request;
   try {
     request.spec =
         FieldSpec::centered(center, opt.field_length, opt.field_resolution);
-    request.seed = item_seed(opt.seed, center);
+    request.seed = engine::item_seed(opt.seed, center);
     request.field = opt.field;
     request.smooth_ensemble = opt.smooth_ensemble;
     // The velocity model is a run-level field: every rank that may render
     // this item must sample the same one, so it seeds from the RUN seed.
     request.model_seed = opt.seed;
-    const std::unique_ptr<FieldKernel> kernel =
-        state.kernels->create(opt.kernel);
-    KernelStats stats;
+    const std::unique_ptr<engine::FieldKernel> kernel =
+        engine::KernelRegistry::builtin().create(opt.kernel);
+    engine::KernelStats stats;
     grid = kernel->render(*cube, request, deadline, stats);
     // Density/hull construction rides inside the cube build, so it lands in
     // the interpolation share: everything since the timer started except
@@ -282,15 +313,17 @@ FieldGrid compute_item(const EngineState& state,
   return grid;
 }
 
+}  // namespace dtfe
+
+namespace dtfe::engine {
+
 StageContext::StageContext(simmpi::Comm& comm_in, const PipelineOptions& opt_in,
-                           const EngineState& state_in, double box_in,
-                           double particle_mass_in,
+                           double box_in, double particle_mass_in,
                            std::vector<Vec3> my_block_in,
                            std::vector<Vec3> field_centers_in,
                            const CubeFetcher& fetch_cube_in)
     : comm(comm_in),
       opt(opt_in),
-      state(state_in),
       box(box_in),
       particle_mass(particle_mass_in),
       my_block(std::move(my_block_in)),
@@ -302,7 +335,7 @@ StageContext::StageContext(simmpi::Comm& comm_in, const PipelineOptions& opt_in,
       ghost_radius(0.5 * opt_in.cube_pad * opt_in.field_length),
       rng(opt_in.seed * 7919 + static_cast<std::uint64_t>(comm_in.rank())) {
   obs::TraceRecorder::set_thread_rank(me);
-  obs::add(state.metrics->runs);
+  obs::add(pipeline_metrics().runs);
   // Threading model (DESIGN.md §8): each rank thread runs its items one at a
   // time and gives its kernels an OpenMP team of threads / P (per-thread
   // ICV), so the P rank teams share --threads without oversubscribing.
@@ -348,10 +381,10 @@ void StageContext::record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
   // would only bloat the directory.
   if (ckpt && !rec.replayed && rec.request_index >= 0) {
     ckpt->append(static_cast<std::int64_t>(rec.request_index), grid);
-    if (obs::metrics_enabled()) obs::add(state.metrics->checkpoint_commits);
+    if (obs::metrics_enabled()) obs::add(pipeline_metrics().checkpoint_commits);
   }
   if (obs::metrics_enabled()) {
-    const PipelineMetrics& m = *state.metrics;
+    const PipelineMetrics& m = pipeline_metrics();
     obs::add(m.items_computed);
     if (received) obs::add(m.items_received);
     if (rec.fallback) obs::add(m.fallback);
@@ -404,9 +437,9 @@ void StageContext::run_item(std::vector<Vec3> cube, double count,
   }
   // The watchdog is armed after the gather, so gathering is never under it.
   const Deadline deadline = make_deadline(res.model.predict(count));
-  const ScopedCrashItem in_flight(me, request_index, label, state.crash);
-  FieldGrid grid = compute_item(state, std::move(cube), particle_mass, center,
-                                opt, rec, &deadline);
+  const ScopedCrashItem in_flight(me, request_index, label);
+  FieldGrid grid = compute_field_item(std::move(cube), particle_mass, center,
+                                      opt, rec, &deadline);
   rec.request_index = request_index;
   record_item(std::move(rec), std::move(grid), res.model.predict_tri(count),
               res.model.predict_interp(count), path == ItemPath::kReceived);
@@ -436,7 +469,7 @@ void ExchangeStage::run(StageContext& ctx) const {
   res.bad_particles =
       sanitize_positions(ctx.my_block, ctx.box, opt.bad_particles);
   if (res.bad_particles.bad() > 0 && obs::metrics_enabled())
-    obs::add(ctx.state.metrics->bad_particles,
+    obs::add(pipeline_metrics().bad_particles,
              static_cast<double>(res.bad_particles.bad()));
 
   ctx.decomp.emplace(ctx.P, ctx.box);
@@ -578,11 +611,10 @@ void ScheduleStage::run(StageContext& ctx) const {
       for (const auto id : ids) cube.push_back(ctx.local_particles[id]);
       // No deadline: the cost model this item seeds is not fitted yet.
       const ScopedCrashItem in_flight(ctx.me, ctx.my_request_ids[ti],
-                                      phases::kInFlightModelSample,
-                                      ctx.state.crash);
+                                      phases::kInFlightModelSample);
       ctx.test_grid =
-          compute_item(ctx.state, std::move(cube), ctx.particle_mass,
-                       ctx.my_requests[ti], opt, ctx.test_record, nullptr);
+          compute_field_item(std::move(cube), ctx.particle_mass,
+                             ctx.my_requests[ti], opt, ctx.test_record);
       ctx.test_record.request_index = ctx.my_request_ids[ti];
       my_samples.push_back({ctx.item_counts[ti], ctx.test_record.actual_tri,
                             ctx.test_record.actual_interp});
@@ -662,7 +694,7 @@ void ComputeStage::run(StageContext& ctx) const {
 
   auto fallback_package = [&](const PendingSend& p) {
     ++res.packages_lost;
-    if (obs::metrics_enabled()) obs::add(ctx.state.metrics->packages_lost);
+    if (obs::metrics_enabled()) obs::add(pipeline_metrics().packages_lost);
     std::vector<std::ptrdiff_t> req_ids;
     std::vector<Vec3> centers;
     std::vector<std::vector<Vec3>> cubes;
@@ -718,7 +750,7 @@ void ComputeStage::run(StageContext& ctx) const {
           return;
         }
         ++res.package_retries;
-        if (obs::metrics_enabled()) obs::add(ctx.state.metrics->retries);
+        if (obs::metrics_enabled()) obs::add(pipeline_metrics().retries);
         // Pace resends on a struggling link; the receiver is blocked on
         // its own timed recv, so the backoff cannot deadlock the pair.
         retry_policy.backoff(resends);
@@ -757,7 +789,7 @@ void ComputeStage::run(StageContext& ctx) const {
                                buf);
       res.items_sent += centers.size();
       if (obs::metrics_enabled()) {
-        const PipelineMetrics& m = *ctx.state.metrics;
+        const PipelineMetrics& m = pipeline_metrics();
         obs::add(m.work_packages);
         obs::add(m.items_sent, static_cast<double>(centers.size()));
       }
@@ -898,11 +930,11 @@ PipelineResult run_stages(StageContext& ctx) {
 }
 
 PipelineResult run_stages(simmpi::Comm& comm, const PipelineOptions& opt,
-                          const EngineState& state, double box,
-                          double particle_mass, std::vector<Vec3> my_block,
+                          double box, double particle_mass,
+                          std::vector<Vec3> my_block,
                           std::vector<Vec3> field_centers,
                           const CubeFetcher& fetch_cube) {
-  StageContext ctx(comm, opt, state, box, particle_mass, std::move(my_block),
+  StageContext ctx(comm, opt, box, particle_mass, std::move(my_block),
                    std::move(field_centers), fetch_cube);
   return run_stages(ctx);
 }

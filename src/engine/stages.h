@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/state.h"
 #include "framework/decomposition.h"
 #include "framework/durable.h"
 #include "framework/pipeline.h"
@@ -42,15 +41,14 @@ namespace dtfe::engine {
 /// stages. Inputs are set at construction; the rest is filled as stages run.
 struct StageContext {
   StageContext(simmpi::Comm& comm_in, const PipelineOptions& opt_in,
-               const EngineState& state_in, double box_in,
-               double particle_mass_in, std::vector<Vec3> my_block_in,
+               double box_in, double particle_mass_in,
+               std::vector<Vec3> my_block_in,
                std::vector<Vec3> field_centers_in,
                const CubeFetcher& fetch_cube_in);
 
   // --- inputs --------------------------------------------------------------
   simmpi::Comm& comm;
   const PipelineOptions& opt;
-  EngineState state;
   double box;
   double particle_mass;
   std::vector<Vec3> my_block;       ///< consumed by ExchangeStage
@@ -93,12 +91,12 @@ struct StageContext {
   /// item trace spans, result bookkeeping.
   void record_item(ItemRecord rec, FieldGrid grid, double pred_tri,
                    double pred_interp, bool received);
-  /// How an item reached this rank: picks its crash-registry label and the
-  /// ItemRecord path flag.
+  /// How an item reached this rank: picks its crash-diagnostics label and
+  /// the ItemRecord path flag.
   enum class ItemPath { kLocal, kReceived, kFallback, kRecovered };
   /// Compute one item on this rank thread and commit it: arm the watchdog
-  /// from the model's prediction for `count` particles, flag the item in the
-  /// crash registry, compute_item, record_item.
+  /// from the model's prediction for `count` particles, mark the item for
+  /// crash diagnostics, compute_field_item, record_item.
   void run_item(std::vector<Vec3> cube, double count, const Vec3& center,
                 std::ptrdiff_t request_index, ItemPath path);
   /// Gather the cube for my_requests[remaining[j]], compute, record.
@@ -124,20 +122,12 @@ struct ReduceStage {
 /// Run all five stages in order and return the finished per-rank result.
 PipelineResult run_stages(StageContext& ctx);
 
-/// One-call convenience over a fresh context (the engine and the legacy
-/// run_pipeline* entry points both come through here).
+/// One-call convenience over a fresh context: the per-rank entry behind
+/// run_pipeline and run_pipeline_from_snapshot.
 PipelineResult run_stages(simmpi::Comm& comm, const PipelineOptions& opt,
-                          const EngineState& state, double box,
-                          double particle_mass, std::vector<Vec3> my_block,
+                          double box, double particle_mass,
+                          std::vector<Vec3> my_block,
                           std::vector<Vec3> field_centers,
                           const CubeFetcher& fetch_cube);
-
-/// The shared kernel invocation behind compute_field_item (which forwards
-/// with EngineState::process_default()): explicit-state variant used by the
-/// stages so engine-owned metrics/kernels are honored.
-FieldGrid compute_item(const EngineState& state,
-                       std::vector<Vec3> cube_particles, double mass,
-                       const Vec3& center, const PipelineOptions& opt,
-                       ItemRecord& record, const Deadline* deadline);
 
 }  // namespace dtfe::engine

@@ -13,13 +13,10 @@
 // on the hot path; the report flush is a deliberate best-effort step beyond
 // the async-signal-safe set, taken only when the process is already doomed.
 //
-// In-flight items live in a CrashItemRegistry: a fixed array of lock-free
-// slots claimed per thread via ScopedCrashItem around compute/render work.
-// The process keeps a default registry for standalone pipeline runs, and
-// every engine::Engine owns a private one, so two engines in one process
-// never share or corrupt in-flight state; the signal handler walks ALL live
-// registries, so a crash names exactly the items being processed at the
-// time regardless of which engine ran them.
+// In-flight items live in one process-wide, fixed array of lock-free slots,
+// claimed per thread via ScopedCrashItem around compute/render work. Every
+// rank thread of every run in the process marks into the same array, so a
+// crash names exactly the items being processed at the time.
 #pragma once
 
 #include <cstdint>
@@ -40,50 +37,22 @@ void install_crash_handler(const std::string& report_path = "");
 /// detach before destroying it).
 void set_crash_report(obs::RunReport* report);
 
-/// One registry of in-flight (rank, item, phase) markers. Instances
-/// announce themselves to the crash handler's global scan list on
-/// construction and withdraw on destruction; the process-default instance
-/// (process_default()) backs ScopedCrashItem's no-registry overload.
-class CrashItemRegistry {
- public:
-  CrashItemRegistry();
-  ~CrashItemRegistry();
-  CrashItemRegistry(const CrashItemRegistry&) = delete;
-  CrashItemRegistry& operator=(const CrashItemRegistry&) = delete;
-
-  /// The registry standalone (non-engine) pipeline runs mark items in.
-  static CrashItemRegistry& process_default();
-
-  /// Number of currently marked in-flight items in THIS registry.
-  int in_flight() const;
-
-  /// Opaque slot storage; public so the signal handler's file-scope scan
-  /// list in crash.cpp can name it (the definition stays in crash.cpp).
-  struct Impl;
-
- private:
-  friend class ScopedCrashItem;
-  Impl* impl_;
-};
-
 /// RAII marker: "this thread is processing item `request_index` for `rank`
 /// in phase `phase`". `phase` must be a string literal (the handler prints
-/// the pointer's target after the crash, so it must never dangle).
-/// `registry` = nullptr marks into CrashItemRegistry::process_default().
+/// the pointer's target after the crash, so it must never dangle). If all
+/// slots are busy the item runs unmarked.
 class ScopedCrashItem {
  public:
-  ScopedCrashItem(int rank, std::int64_t request_index, const char* phase,
-                  CrashItemRegistry* registry = nullptr);
+  ScopedCrashItem(int rank, std::int64_t request_index, const char* phase);
   ~ScopedCrashItem();
   ScopedCrashItem(const ScopedCrashItem&) = delete;
   ScopedCrashItem& operator=(const ScopedCrashItem&) = delete;
 
  private:
-  CrashItemRegistry::Impl* impl_;
   int slot_ = -1;
 };
 
-/// Number of currently marked in-flight items across ALL registries (tests).
+/// Number of currently marked in-flight items (tests).
 int crash_items_in_flight();
 
 }  // namespace dtfe

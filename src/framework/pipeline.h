@@ -9,9 +9,12 @@
 // Every rank reports its per-phase busy time measured with per-thread CPU
 // clocks, which is what the reproduction's scaling figures aggregate.
 //
-// This header keeps the pipeline's public TYPES and entry-point signatures;
-// the implementations live in the engine layer (src/engine/stages.cpp and
-// src/engine/pipeline.cpp), so callers of run_pipeline* link pdtfe_engine.
+// This header keeps the pipeline's public TYPES and its per-rank entry
+// points, run_pipeline and run_pipeline_from_snapshot. They are the one
+// per-rank route: engine::Engine::run_batch and the socket worker call them
+// too. The implementations live in the engine layer (src/engine/stages.cpp
+// and src/engine/pipeline.cpp), so callers of run_pipeline* link
+// pdtfe_engine.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,8 @@
 // subcommand; typed accessors with defaults; unknown-flag detection.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -37,14 +39,31 @@ class CliArgs {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  /// A numeric value must parse in full, in range and finite: "64x", "abc",
+  /// "", "inf" and "1e999" throw a dtfe::Error that names the flag.
   double get(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v))
+      throw Error("--" + key + " expects a finite number, got '" +
+                  it->second + "'");
+    return v;
   }
   long get(const std::string& key, long fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtol(it->second.c_str(), nullptr, 10);
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE)
+      throw Error("--" + key + " expects an integer, got '" + it->second +
+                  "'");
+    return v;
   }
 
   /// Throws if any flag outside `known` was provided (typo guard).

@@ -48,19 +48,6 @@ TEST(KernelRegistry, BuiltinNamesRoundTrip) {
   EXPECT_THROW(reg.create("cic"), Error);
 }
 
-TEST(KernelRegistry, CustomRegistryIsIndependent) {
-  KernelRegistry reg;
-  EXPECT_TRUE(reg.names().empty());
-  reg.add("march2", [](const KernelOptions& o) {
-    return std::make_unique<MarchingFieldKernel>(o.marching);
-  });
-  EXPECT_TRUE(reg.contains("march2"));
-  EXPECT_FALSE(reg.contains("march"));  // builtin() is untouched
-  EXPECT_TRUE(KernelRegistry::builtin().contains("march"));
-  const auto kernel = reg.create("march2");
-  EXPECT_STREQ(kernel->name(), "march");
-}
-
 TEST(FieldKernel, AllRegisteredKernelsRenderFiniteGrids) {
   const ParticleSet& set = fixture_set();
   const FieldCube cube(set.positions, set.particle_mass);
@@ -219,9 +206,8 @@ TEST(Stages, StageByStageMatchesRunPipeline) {
     const CubeFetcher fetch = [&](const Vec3& center, double side) {
       return extract_cube(set, center, side);
     };
-    StageContext ctx(comm, opt, EngineState::process_default(),
-                     set.box_length, set.particle_mass, set.positions,
-                     centers, fetch);
+    StageContext ctx(comm, opt, set.box_length, set.particle_mass,
+                     set.positions, centers, fetch);
     ExchangeStage{}.run(ctx);
     EXPECT_TRUE(ctx.decomp.has_value());
     EXPECT_EQ(ctx.my_requests.size(), centers.size());  // single rank owns all
@@ -289,7 +275,7 @@ TEST(Engine, RunBatchCompletesEveryRequest) {
 
 // The tentpole's re-entrancy contract: several batches per process — and
 // several engines — with bitwise-identical grids every time, equal to what
-// the legacy one-shot entry point produces.
+// the per-rank entry point produces when called directly.
 TEST(Engine, RunBatchIsReentrantAndBitwiseDeterministic) {
   EngineConfig cfg;
   cfg.ranks = 4;
@@ -320,41 +306,52 @@ TEST(Engine, RunBatchIsReentrantAndBitwiseDeterministic) {
     }
   }
 
-  // The legacy entry point renders the same grids (same seeds, same
+  // The per-rank entry point renders the same grids (same seeds, same
   // canonical cube ordering), rank count and data path notwithstanding.
-  std::map<std::ptrdiff_t, double> legacy_sums;
+  std::map<std::ptrdiff_t, double> direct_sums;
   std::mutex mtx;
   simmpi::run(2, [&](simmpi::Comm& comm) {
     const PipelineResult res =
         run_pipeline(comm, fixture_set(), fixture_centers(), cfg.pipeline);
     std::lock_guard<std::mutex> lock(mtx);
     for (const ItemRecord& it : res.items)
-      legacy_sums[it.request_index] = it.grid_sum;
+      direct_sums[it.request_index] = it.grid_sum;
   });
   for (std::size_t i = 0; i < first.size(); ++i) {
-    ASSERT_TRUE(legacy_sums.count(static_cast<std::ptrdiff_t>(i)));
-    EXPECT_EQ(first[i].checksum, legacy_sums[static_cast<std::ptrdiff_t>(i)]);
+    ASSERT_TRUE(direct_sums.count(static_cast<std::ptrdiff_t>(i)));
+    EXPECT_EQ(first[i].checksum, direct_sums[static_cast<std::ptrdiff_t>(i)]);
   }
 }
 
-TEST(Engine, CustomKernelRegistrySelectsTheKernel) {
-  KernelRegistry reg;
-  reg.add("walk", [](const KernelOptions& o) {
-    return std::make_unique<WalkingFieldKernel>(o.walking);
-  });
+// pipeline.kernel names a builtin kernel: "walk" renders the batch with the
+// walking kernel, whose grid differs from the default marching one.
+TEST(Engine, PipelineKernelNameSelectsTheKernel) {
   EngineConfig cfg;
   cfg.ranks = 2;
   cfg.pipeline = fixture_pipeline_options();
+  std::vector<FieldRequest> requests = {{{5.0, 5.0, 5.0}}};
+  Engine march(cfg, fixture_set());
+  const auto marched = march.run_batch(requests);
+
   cfg.pipeline.kernel = "walk";
   Engine engine(cfg, fixture_set());
-  engine.set_kernels(&reg);
-
-  std::vector<FieldRequest> requests = {{{5.0, 5.0, 5.0}}};
   const auto results = engine.run_batch(requests);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].completed);
   EXPECT_FALSE(results[0].failed);
   EXPECT_GT(results[0].checksum, 0.0);
+  ASSERT_TRUE(marched[0].completed);
+  EXPECT_NE(results[0].checksum, marched[0].checksum);
+
+  // The same render through the kernel directly: the engine ran "walk".
+  std::vector<Vec3> pts =
+      extract_cube(fixture_set(), requests[0].center,
+                   cfg.pipeline.cube_pad * cfg.pipeline.field_length);
+  ItemRecord rec;
+  const FieldGrid direct = compute_field_item(
+      std::move(pts), fixture_set().particle_mass, requests[0].center,
+      cfg.pipeline, rec);
+  EXPECT_EQ(results[0].checksum, direct.sum());
 
   // An unknown kernel name is a contained per-item failure, not a crash.
   cfg.pipeline.kernel = "no-such-kernel";
@@ -425,6 +422,40 @@ TEST(EngineConfig, FromCliParsesAndValidates) {
     const CliArgs args(static_cast<int>(std::size(argv)),
                        const_cast<char**>(argv));
     EXPECT_THROW(EngineConfig::from_cli(args), Error);
+  }
+  // --item-deadline-ms: unset disables the watchdog, "auto" derives the
+  // budget from the model (0), a number is a fixed budget.
+  const auto deadline_of = [](const char* value) {
+    const char* argv[] = {"pdtfe", "pipeline", "--item-deadline-ms", value};
+    const CliArgs args(4, const_cast<char**>(argv));
+    return EngineConfig::from_cli(args).pipeline.item_deadline_ms;
+  };
+  {
+    const char* argv[] = {"pdtfe", "pipeline"};
+    const CliArgs args(2, const_cast<char**>(argv));
+    EXPECT_LT(EngineConfig::from_cli(args).pipeline.item_deadline_ms, 0.0);
+  }
+  EXPECT_EQ(deadline_of("auto"), 0.0);
+  EXPECT_EQ(deadline_of("2000"), 2000.0);
+  EXPECT_EQ(deadline_of("12.5"), 12.5);
+  // Malformed numbers are refused, not read as a prefix ("2OOO" with the
+  // letter O would arm a 2 ms watchdog) or as 0 ("foo" would mean auto).
+  for (const char* bad : {"foo", "2OOO", "", "inf", "nan", "1e999"})
+    EXPECT_THROW(deadline_of(bad), Error) << "'" << bad << "'";
+  for (const char* flag : {"--ranks", "--grid", "--fields", "--threads",
+                           "--length", "--max-retries"}) {
+    for (const char* bad : {"abc", "64x", "1.5.2"}) {
+      const char* argv[] = {"pdtfe", "pipeline", flag, bad};
+      const CliArgs args(4, const_cast<char**>(argv));
+      try {
+        (void)EngineConfig::from_cli(args);
+        ADD_FAILURE() << flag << " " << bad << " was accepted";
+      } catch (const Error& e) {
+        // The message names the flag the user has to fix.
+        EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+            << e.what();
+      }
+    }
   }
 }
 

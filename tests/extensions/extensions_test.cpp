@@ -2,8 +2,12 @@
 // pipeline, grid mass assignment and power-spectrum measurement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "core/dtfe.h"
 #include "util/rng.h"
@@ -148,6 +152,39 @@ TEST(SnapshotPipeline, MatchesInMemoryPipeline) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a[i].first, b[i].first, 1e-9);
     EXPECT_NEAR(a[i].second, b[i].second, 1e-9 * (std::abs(b[i].second) + 1));
+  }
+
+  // Engine batches reach the same per-rank entry points: a snapshot-backed
+  // Engine(cfg) matches run_pipeline_from_snapshot and an in-memory
+  // Engine(cfg, set) matches run_pipeline, grid sum for grid sum.
+  engine::EngineConfig cfg;
+  cfg.ranks = 4;
+  cfg.snapshot = path;
+  cfg.pipeline = opt;
+  std::vector<engine::FieldRequest> requests;
+  for (const Vec3& c : centers) requests.push_back({c});
+  engine::Engine from_file(cfg);
+  engine::Engine in_memory(cfg, set);
+  const std::pair<engine::Engine*, const decltype(a)*> batches[] = {
+      {&from_file, &a}, {&in_memory, &b}};
+  for (const auto& [eng, direct] : batches) {
+    const std::vector<engine::FieldResult> results = eng->run_batch(requests);
+    ASSERT_EQ(results.size(), centers.size());
+    std::vector<std::pair<double, double>> sums;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].completed) << "request " << i;
+      EXPECT_EQ(results[i].checksum, results[i].grid.sum());
+      sums.push_back({centers[i].x * 1e6 + centers[i].y * 1e3 + centers[i].z,
+                      results[i].checksum});
+    }
+    std::sort(sums.begin(), sums.end());
+    ASSERT_EQ(sums.size(), direct->size());
+    for (std::size_t i = 0; i < sums.size(); ++i) {
+      EXPECT_EQ(sums[i].first, (*direct)[i].first);
+      EXPECT_EQ(sums[i].second, (*direct)[i].second)
+          << "request key " << sums[i].first;
+    }
+    EXPECT_EQ(eng->last_rank_runs().size(), 4u);
   }
   std::remove(path.c_str());
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <string>
 
 #include "core/dtfe.h"
 #include "util/cli.h"
@@ -23,6 +25,32 @@ TEST(CliArgs, ParsesPairsAndEquals) {
   EXPECT_EQ(args.get("count", 0L), 42L);
   EXPECT_EQ(args.get("missing", 7L), 7L);
   EXPECT_EQ(args.get("missing", std::string{"x"}), "x");
+
+  // Numbers must be consumed in full, in range and finite; the error names
+  // the flag. A malformed value is never read as its prefix or as 0.
+  const char* bad[] = {"prog",   "cmd",        "--grid",  "64x",
+                       "--ranks", "abc",       "--box",   "1.5e",
+                       "--big",  "99999999999999999999999",
+                       "--huge", "1e999",      "--inf",   "inf",
+                       "--nan",  "nan",        "--empty=", "--neg",
+                       "-3",     "--sci",      "2.5e1"};
+  const CliArgs strict(static_cast<int>(std::size(bad)),
+                       const_cast<char**>(bad));
+  for (const char* key : {"grid", "ranks", "big", "empty"}) {
+    try {
+      (void)strict.get(key, 0L);
+      ADD_FAILURE() << "--" << key << " parsed as an integer";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* key : {"grid", "box", "huge", "inf", "nan", "empty"})
+    EXPECT_THROW(strict.get(key, 0.0), Error) << "--" << key;
+  EXPECT_EQ(strict.get("neg", 0L), -3L);
+  EXPECT_DOUBLE_EQ(strict.get("sci", 0.0), 25.0);
+  EXPECT_THROW(strict.get("sci", 0L), Error);  // not an integer
 }
 
 TEST(CliArgs, RejectsMalformedInput) {
